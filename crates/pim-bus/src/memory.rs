@@ -46,17 +46,36 @@ impl SharedMemory {
     }
 
     /// Reads `block.len()` consecutive words starting at `base` into
-    /// `block` (a cache block fill).
+    /// `block` (a cache block fill). One page lookup per page touched.
     pub fn read_block(&self, base: Addr, block: &mut [Word]) {
-        for (i, slot) in block.iter_mut().enumerate() {
-            *slot = self.read(base + i as Addr);
+        let mut addr = base;
+        let mut rest = block;
+        while !rest.is_empty() {
+            let (page, offset) = split(addr);
+            let (chunk, tail) = rest.split_at_mut(rest.len().min(PAGE_WORDS - offset));
+            match self.pages.get(&page) {
+                Some(p) => chunk.copy_from_slice(&p[offset..offset + chunk.len()]),
+                None => chunk.fill(0),
+            }
+            addr += chunk.len() as Addr;
+            rest = tail;
         }
     }
 
     /// Writes `block` to consecutive words starting at `base` (a swap-out).
+    /// One page lookup per page touched.
     pub fn write_block(&mut self, base: Addr, block: &[Word]) {
-        for (i, &w) in block.iter().enumerate() {
-            self.write(base + i as Addr, w);
+        let mut addr = base;
+        let mut rest = block;
+        while !rest.is_empty() {
+            let (page, offset) = split(addr);
+            let (chunk, tail) = rest.split_at(rest.len().min(PAGE_WORDS - offset));
+            self.pages
+                .entry(page)
+                .or_insert_with(|| Box::new([0; PAGE_WORDS]))[offset..offset + chunk.len()]
+                .copy_from_slice(chunk);
+            addr += chunk.len() as Addr;
+            rest = tail;
         }
     }
 
@@ -139,6 +158,17 @@ mod tests {
         let mut out = [0; 4];
         mem.read_block(base, &mut out);
         assert_eq!(out, [1, 2, 3, 4]);
+        assert_eq!(mem.resident_pages(), 2);
+    }
+
+    #[test]
+    fn block_reads_of_unwritten_pages_are_zero() {
+        let mut mem = SharedMemory::new();
+        mem.write(PAGE_WORDS as u64, 5);
+        let mut out = [9; 4];
+        mem.read_block(PAGE_WORDS as u64 - 2, &mut out);
+        assert_eq!(out, [0, 0, 5, 0]);
+        assert_eq!(mem.resident_pages(), 1, "reads never allocate pages");
     }
 
     #[test]

@@ -124,8 +124,8 @@ enum FillSource {
     Memory,
 }
 
+/// A completed fill. The block's words are in `PimSystem::fill_buf`.
 struct Filled {
-    data: Vec<Word>,
     cycles: u64,
     source: FillSource,
 }
@@ -308,7 +308,7 @@ impl PeShard {
         purged: &mut Option<bool>,
         transition: &mut Option<(BlockState, BlockState)>,
     ) {
-        if let Some((state, _)) = self.cache.invalidate(addr) {
+        if let Some(state) = self.cache.invalidate(addr) {
             *purged = Some(state.is_dirty());
             *transition = Some((state, BlockState::Inv));
         }
@@ -373,6 +373,13 @@ pub struct PimSystem {
     /// The engine-supplied current cycle, stamped onto observer events
     /// emitted from inside the protocol (state transitions).
     now: u64,
+    /// One block of scratch: the words a fill moves into the requester's
+    /// cache (or, for the `RP` bypass, hands to the requester directly).
+    /// Allocated once here so the miss path never allocates.
+    fill_buf: Vec<Word>,
+    /// One block of scratch receiving the victim's words when an install
+    /// displaces a valid line.
+    evict_buf: Vec<Word>,
 }
 
 impl Clone for PimSystem {
@@ -390,6 +397,8 @@ impl Clone for PimSystem {
             lock_stats: self.lock_stats,
             observer: None,
             now: self.now,
+            fill_buf: self.fill_buf.clone(),
+            evict_buf: self.evict_buf.clone(),
         }
     }
 }
@@ -405,6 +414,7 @@ impl PimSystem {
         let shards = (0..config.pes)
             .map(|pe| PeShard::new(PeId(pe), &config))
             .collect();
+        let block = vec![0; config.geometry.block_words as usize];
         PimSystem {
             config,
             shards,
@@ -415,6 +425,8 @@ impl PimSystem {
             lock_stats: LockStats::new(),
             observer: None,
             now: 0,
+            fill_buf: block.clone(),
+            evict_buf: block,
         }
     }
 
@@ -610,9 +622,9 @@ impl PimSystem {
     /// model checking — excludes replacement bookkeeping on purpose, so two
     /// systems with equal views are behaviorally equivalent on one block).
     pub fn cache_view(&self, pe: PeId, addr: Addr) -> Option<(BlockState, Vec<Word>)> {
-        let shard = &self.shards[pe.index()];
-        let snapshot = shard.cache.snapshot(addr)?;
-        Some((shard.cache.state_of(addr), snapshot))
+        let cache = &self.shards[pe.index()].cache;
+        let words = cache.block(addr)?.to_vec();
+        Some((cache.state_of(addr), words))
     }
 
     /// The lock-directory view of `addr` in `pe`'s own directory: its entry
@@ -782,28 +794,26 @@ impl PimSystem {
         changed
     }
 
-    fn cache_invalidate(&mut self, pe: PeId, addr: Addr) -> Option<(BlockState, Vec<Word>)> {
+    fn cache_invalidate(&mut self, pe: PeId, addr: Addr) -> Option<BlockState> {
         let dropped = self.shards[pe.index()].cache.invalidate(addr);
         if self.observer.is_some() {
-            if let Some((from, _)) = &dropped {
-                self.emit_transition(pe, addr, *from, BlockState::Inv);
+            if let Some(from) = dropped {
+                self.emit_transition(pe, addr, from, BlockState::Inv);
             }
         }
         dropped
     }
 
-    fn cache_install(
-        &mut self,
-        pe: PeId,
-        base: Addr,
-        data: Vec<Word>,
-        state: BlockState,
-    ) -> Option<Eviction> {
-        let evicted = self.shards[pe.index()].cache.install(base, data, state);
+    /// Installs the block in `self.fill_buf` into `pe`'s cache. A displaced
+    /// valid line's words land in `self.evict_buf`.
+    fn cache_install(&mut self, pe: PeId, base: Addr, state: BlockState) -> Option<Eviction> {
+        let evicted =
+            self.shards[pe.index()]
+                .cache
+                .install(base, &self.fill_buf, state, &mut self.evict_buf);
         if self.observer.is_some() {
-            if let Some(ev) = &evicted {
-                let (ev_base, ev_state) = (ev.base, ev.state);
-                self.emit_transition(pe, ev_base, ev_state, BlockState::Inv);
+            if let Some(ev) = evicted {
+                self.emit_transition(pe, ev.base, ev.state, BlockState::Inv);
             }
             self.emit_transition(pe, base, BlockState::Inv, state);
         }
@@ -883,7 +893,8 @@ impl PimSystem {
     /// copy-back of dirty data — the `SM`-state optimization) over `F`
     /// (supplier keeps a shared copy). `install` controls whether the
     /// block enters `pe`'s cache (false for the `RP` bypass). `with_lock`
-    /// adds an `LK` broadcast riding on the command.
+    /// adds an `LK` broadcast riding on the command. The block's words
+    /// are left in `self.fill_buf`.
     fn fill(
         &mut self,
         pe: PeId,
@@ -913,61 +924,64 @@ impl PimSystem {
         }
 
         let supplier = self.find_supplier(pe, base);
-        let (data, state, source) = match supplier {
+        let (state, source) = match supplier {
             Some((sup, sup_state)) => {
                 let dirty = sup_state.is_dirty();
-                let data = if exclusive {
+                if exclusive {
                     // FI: every other copy dies; dirty data migrates to the
-                    // requester without updating memory.
-                    let mut data = None;
+                    // requester without updating memory. Each copy is
+                    // taken before its invalidation: the supplier's, or
+                    // else the first dirty one.
+                    let mut copied = false;
                     for i in 0..self.shards.len() {
                         if i == pe.index() {
                             continue;
                         }
-                        if let Some((st, d)) = self.cache_invalidate(PeId(i as u32), base) {
-                            if i == sup.index() || (st.is_dirty() && data.is_none()) {
-                                data = Some(d);
+                        let cache = &self.shards[i].cache;
+                        if let Some(words) = cache.block(base) {
+                            if i == sup.index() || (cache.state_of(base).is_dirty() && !copied) {
+                                self.fill_buf.copy_from_slice(words);
+                                copied = true;
                             }
                         }
+                        self.cache_invalidate(PeId(i as u32), base);
                     }
-                    match data {
-                        Some(d) => d,
-                        None => unreachable!("supplier had the block"),
+                    if !copied {
+                        unreachable!("supplier had the block");
                     }
                 } else {
                     // F: the supplier keeps the data; a dirty supplier
                     // becomes the SM owner, a clean exclusive one drops
                     // to S. Memory is not updated (unlike Illinois).
-                    let Some(data) = self.shards[sup.index()].cache.snapshot(base) else {
+                    let Some(words) = self.shards[sup.index()].cache.block(base) else {
                         unreachable!("supplier had the block")
                     };
+                    self.fill_buf.copy_from_slice(words);
                     let new_state = if dirty {
                         BlockState::Sm
                     } else {
                         BlockState::Shared
                     };
                     self.cache_set_state(sup, base, new_state);
-                    data
-                };
+                }
                 let state = match (exclusive, dirty) {
                     (true, true) => BlockState::Em,
                     (true, false) => BlockState::Ec,
                     (false, _) => BlockState::Shared,
                 };
-                (data, state, FillSource::Cache(sup, dirty))
+                (state, FillSource::Cache(sup, dirty))
             }
             None => {
-                let mut data = vec![0; bw as usize];
-                self.memory.read_block(base, &mut data);
-                (data, BlockState::Ec, FillSource::Memory)
+                self.memory.read_block(base, &mut self.fill_buf);
+                (BlockState::Ec, FillSource::Memory)
             }
         };
 
         let mut swap_out = false;
         if install {
-            if let Some(ev) = self.cache_install(pe, base, data.clone(), state) {
+            if let Some(ev) = self.cache_install(pe, base, state) {
                 if ev.state.is_dirty() {
-                    self.memory.write_block(ev.base, &ev.data);
+                    self.memory.write_block(ev.base, &self.evict_buf);
                     swap_out = true;
                 }
             }
@@ -980,11 +994,7 @@ impl PimSystem {
         self.bus.record_tx(tx, area, &self.config.timing, bw);
         let cycles = self.config.timing.cycles(tx, bw);
 
-        FillOutcome::Filled(Filled {
-            data,
-            cycles,
-            source,
-        })
+        FillOutcome::Filled(Filled { cycles, source })
     }
 
     /// Like [`PimSystem::refuse`] but usable from `fill` (returns just the
@@ -1027,7 +1037,7 @@ impl PimSystem {
         let mut dropped_dirty = false;
         for i in 0..self.shards.len() {
             if i != pe.index() {
-                if let Some((state, _)) = self.cache_invalidate(PeId(i as u32), base) {
+                if let Some(state) = self.cache_invalidate(PeId(i as u32), base) {
                     dropped_dirty |= state.is_dirty();
                 }
             }
@@ -1137,13 +1147,13 @@ impl PimSystem {
         self.access_stats.lookups += 1;
         self.access_stats.dw_allocations += 1;
         let base = geom.block_base(addr);
-        let mut data = vec![DW_POISON; geom.block_words as usize];
-        data[(addr - base) as usize] = value;
+        self.fill_buf.fill(DW_POISON);
+        self.fill_buf[(addr - base) as usize] = value;
         let mut cycles = 0;
-        if let Some(ev) = self.cache_install(pe, base, data, BlockState::Em) {
+        if let Some(ev) = self.cache_install(pe, base, BlockState::Em) {
             if ev.state.is_dirty() {
                 // The only swap-out-only bus pattern in the protocol.
-                self.memory.write_block(ev.base, &ev.data);
+                self.memory.write_block(ev.base, &self.evict_buf);
                 self.bus.record_tx(
                     Transaction::SwapOutOnly,
                     area,
@@ -1211,7 +1221,7 @@ impl PimSystem {
                 if matches!(f.source, FillSource::Cache(_, true)) {
                     self.access_stats.dirty_purges += 1;
                 }
-                done(f.data[offset], f.cycles, false)
+                done(self.fill_buf[offset], f.cycles, false)
             }
         }
     }
@@ -1233,7 +1243,7 @@ impl PimSystem {
     }
 
     fn purge_local(&mut self, pe: PeId, addr: Addr) {
-        if let Some((state, _)) = self.cache_invalidate(pe, addr) {
+        if let Some(state) = self.cache_invalidate(pe, addr) {
             self.access_stats.purges += 1;
             if state.is_dirty() {
                 self.access_stats.dirty_purges += 1;
@@ -1444,9 +1454,9 @@ impl PimSystem {
                     }
                 }
             }
-            let first = self.shards[list[0].0.index()].cache.snapshot(base);
+            let first = self.shards[list[0].0.index()].cache.block(base);
             for (pe, _) in &list[1..] {
-                if self.shards[pe.index()].cache.snapshot(base) != first {
+                if self.shards[pe.index()].cache.block(base) != first {
                     return Err(format!("block {base:#x}: copies diverge"));
                 }
             }

@@ -47,6 +47,11 @@ pub struct IllinoisSystem {
     observer: Option<Box<dyn Observer>>,
     /// The engine-supplied current cycle, stamped onto observer events.
     now: u64,
+    /// One block of scratch holding the words a fill installs, allocated
+    /// once here so the miss path never allocates.
+    fill_buf: Vec<Word>,
+    /// One block of scratch receiving a displaced victim's words.
+    evict_buf: Vec<Word>,
 }
 
 impl IllinoisSystem {
@@ -63,6 +68,7 @@ impl IllinoisSystem {
         let lockdirs = (0..config.pes)
             .map(|_| LockDirectory::new(config.lock_entries))
             .collect();
+        let block = vec![0; config.geometry.block_words as usize];
         IllinoisSystem {
             config,
             caches,
@@ -74,6 +80,8 @@ impl IllinoisSystem {
             lock_stats: LockStats::new(),
             observer: None,
             now: 0,
+            fill_buf: block.clone(),
+            evict_buf: block,
         }
     }
 
@@ -116,28 +124,24 @@ impl IllinoisSystem {
         changed
     }
 
-    fn cache_invalidate(&mut self, pe: PeId, addr: Addr) -> Option<(BlockState, Vec<Word>)> {
+    fn cache_invalidate(&mut self, pe: PeId, addr: Addr) -> Option<BlockState> {
         let dropped = self.caches[pe.index()].invalidate(addr);
         if self.observer.is_some() {
-            if let Some((from, _)) = &dropped {
-                self.emit_transition(pe, addr, *from, BlockState::Inv);
+            if let Some(from) = dropped {
+                self.emit_transition(pe, addr, from, BlockState::Inv);
             }
         }
         dropped
     }
 
-    fn cache_install(
-        &mut self,
-        pe: PeId,
-        base: Addr,
-        data: Vec<Word>,
-        state: BlockState,
-    ) -> Option<Eviction> {
-        let evicted = self.caches[pe.index()].install(base, data, state);
+    /// Installs the block in `self.fill_buf` into `pe`'s cache. A displaced
+    /// valid line's words land in `self.evict_buf`.
+    fn cache_install(&mut self, pe: PeId, base: Addr, state: BlockState) -> Option<Eviction> {
+        let evicted =
+            self.caches[pe.index()].install(base, &self.fill_buf, state, &mut self.evict_buf);
         if self.observer.is_some() {
-            if let Some(ev) = &evicted {
-                let (ev_base, ev_state) = (ev.base, ev.state);
-                self.emit_transition(pe, ev_base, ev_state, BlockState::Inv);
+            if let Some(ev) = evicted {
+                self.emit_transition(pe, ev.base, ev.state, BlockState::Inv);
             }
             self.emit_transition(pe, base, BlockState::Inv, state);
         }
@@ -207,16 +211,17 @@ impl IllinoisSystem {
         });
 
         let supplier = self.find_supplier(pe, base);
-        let (data, state, from_cache) = match supplier {
+        let (state, from_cache) = match supplier {
             Some((sup, sup_state)) => {
                 let dirty = sup_state.is_dirty();
-                let Some(data) = self.caches[sup.index()].snapshot(base) else {
+                let Some(words) = self.caches[sup.index()].block(base) else {
                     unreachable!("find_supplier returned a PE without the block")
                 };
+                self.fill_buf.copy_from_slice(words);
                 if dirty {
                     // Illinois: the memory controller captures the data as
                     // it crosses the bus — the block becomes clean.
-                    self.memory.write_block(base, &data);
+                    self.memory.write_block(base, &self.fill_buf);
                     self.bus
                         .record_reflective_copyback(area, &self.config.timing);
                 }
@@ -234,19 +239,18 @@ impl IllinoisSystem {
                 } else {
                     BlockState::Shared
                 };
-                (data, state, true)
+                (state, true)
             }
             None => {
-                let mut data = vec![0; bw as usize];
-                self.memory.read_block(base, &mut data);
-                (data, BlockState::Ec, false)
+                self.memory.read_block(base, &mut self.fill_buf);
+                (BlockState::Ec, false)
             }
         };
 
         let mut swap_out = false;
-        if let Some(ev) = self.cache_install(pe, base, data, state) {
+        if let Some(ev) = self.cache_install(pe, base, state) {
             if ev.state.is_dirty() {
-                self.memory.write_block(ev.base, &ev.data);
+                self.memory.write_block(ev.base, &self.evict_buf);
                 swap_out = true;
             }
         }
