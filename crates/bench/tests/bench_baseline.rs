@@ -22,7 +22,7 @@ fn committed_baseline_is_a_valid_suite_document() {
 }
 
 #[test]
-fn committed_baseline_covers_micro_macro_and_thread_scaling() {
+fn committed_baseline_covers_micro_and_macro() {
     let doc = load_baseline();
     let Some(Json::Arr(entries)) = doc.get("entries") else {
         panic!("entries array vanished after validate");
@@ -33,23 +33,19 @@ fn committed_baseline_covers_micro_macro_and_thread_scaling() {
         .collect();
     assert!(kinds.contains(&"micro"), "no micro benchmarks in baseline");
     assert!(kinds.contains(&"macro"), "no macro benchmarks in baseline");
-    let replay_threads: Vec<u64> = entries
-        .iter()
-        .filter(|e| e.get("name").and_then(Json::as_str) == Some("replay/heap-mix"))
-        .filter_map(|e| e.get("threads")?.as_u64())
-        .collect();
-    assert_eq!(
-        replay_threads,
-        vec![1, 2, 4],
-        "replay/heap-mix must cover threads 1/2/4"
-    );
 }
 
 #[test]
 fn baseline_diffed_against_itself_is_clean() {
     let doc = load_baseline();
     let rows = suite::diff(&doc, &doc);
-    assert_eq!(rows.len(), suite::BENCHMARKS.len());
+    for (name, threads) in suite::BENCHMARKS {
+        let key = format!("{name} @t{threads}");
+        assert!(
+            rows.iter().any(|r| r.key == key),
+            "suite entry {key} missing from the baseline"
+        );
+    }
     let (rendered, regressions) = suite::render_diff(&rows, 50.0);
     assert_eq!(regressions, 0, "{rendered}");
 }

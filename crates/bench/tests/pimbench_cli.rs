@@ -58,8 +58,6 @@ fn list_names_every_suite_benchmark() {
         "micro/cache_hit",
         "micro/bus_arbitrate",
         "replay/heap-mix @t1",
-        "replay/heap-mix @t2",
-        "replay/heap-mix @t4",
         "table1/tri",
         "ckpt/save_restore",
     ] {

@@ -1,55 +1,23 @@
-//! Pure bus-arbitration arithmetic shared by the sequential and parallel
-//! engines.
+//! Pure bus-arbitration arithmetic.
 //!
 //! The paper's bus is non-preemptive and grants requests in simulated-time
 //! order, ties broken by PE id (Section 4.2: the per-PE cache simulators
 //! "artificially synchronize among themselves at each simulated bus
-//! request"). Keeping the grant arithmetic here — as pure functions over
-//! explicit request values — is what lets two very different schedulers
-//! (the single-threaded engine and the epoch-barrier parallel engine)
-//! produce bit-identical timings: both call [`arbitrate`] with the same
-//! `(bus_free, issue, hold)` triples in the same [`grant_order`].
+//! request"). The engine steps PEs in exactly that order, so each request
+//! reaches [`arbitrate`] already in grant order. The grant is a pure
+//! function of `(bus_free, issue, hold)`; [`arbitrate_with_retries`]
+//! chains it for the fault layer's NACKed attempts.
 //!
 //! # Examples
 //!
 //! ```
-//! use pim_bus::arbiter::{arbitrate, grant_order, BusRequest};
-//! use pim_trace::PeId;
+//! use pim_bus::arbiter::arbitrate;
 //!
 //! // A request issued while the bus is busy waits for the bus, then
 //! // holds it: wait covers both the queueing delay and the hold time.
 //! let g = arbitrate(20, 14, 13);
 //! assert_eq!((g.start, g.wait, g.bus_free), (20, 6 + 13, 33));
-//!
-//! // Queued requests are granted in (cycle, PE id) priority order.
-//! let q = [
-//!     BusRequest { pe: PeId(1), cycle: 7 },
-//!     BusRequest { pe: PeId(0), cycle: 9 },
-//!     BusRequest { pe: PeId(0), cycle: 7 },
-//! ];
-//! assert_eq!(grant_order(&q), vec![2, 0, 1]);
 //! ```
-
-use pim_trace::PeId;
-
-/// A pending bus request: `pe` wants the bus starting at its local
-/// `cycle`. Requests carry no payload — the arbiter decides *when*, the
-/// protocol decides *what*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BusRequest {
-    /// The requesting processing element.
-    pub pe: PeId,
-    /// The requester's local clock when the request was issued.
-    pub cycle: u64,
-}
-
-impl BusRequest {
-    /// The deterministic arbitration key: simulated time first, PE id as
-    /// the tie-breaker.
-    pub fn priority(&self) -> (u64, u32) {
-        (self.cycle, self.pe.0)
-    }
-}
 
 /// One bus grant: the transaction starts at `start`, the requester is
 /// stalled for `wait` cycles total (queueing plus the non-preemptive hold
@@ -76,42 +44,6 @@ pub fn arbitrate(bus_free: u64, issue: u64, hold: u64) -> Grant {
         wait: start - issue + hold,
         bus_free: start + hold,
     }
-}
-
-/// Orders a queue of pending requests by the deterministic (cycle, PE id)
-/// priority, returning indices into `queue` in grant order. The sort is
-/// total — no two requests from the same PE can carry the same cycle, and
-/// ties across PEs break by id — so the result does not depend on the
-/// queue's arrival order.
-pub fn grant_order(queue: &[BusRequest]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..queue.len()).collect();
-    order.sort_by_key(|&i| (queue[i].priority(), i));
-    order
-}
-
-/// Grants every queued request in [`grant_order`], returning the grants
-/// (parallel to `queue`) and the final bus-free time. `hold` gives each
-/// request's hold cycles. This is the batch form used at an epoch barrier;
-/// granting one by one with [`arbitrate`] in the same order is identical.
-pub fn arbitrate_queue(
-    mut bus_free: u64,
-    queue: &[BusRequest],
-    hold: impl Fn(usize) -> u64,
-) -> (Vec<Grant>, u64) {
-    let mut grants = vec![
-        Grant {
-            start: 0,
-            wait: 0,
-            bus_free: 0
-        };
-        queue.len()
-    ];
-    for i in grant_order(queue) {
-        let g = arbitrate(bus_free, queue[i].cycle, hold(i));
-        bus_free = g.bus_free;
-        grants[i] = g;
-    }
-    (grants, bus_free)
 }
 
 /// One denied bus attempt in a retry chain: the arbiter grants the bus
@@ -175,58 +107,6 @@ mod tests {
     fn zero_hold_is_a_no_op_grant() {
         let g = arbitrate(4, 9, 0);
         assert_eq!((g.start, g.wait, g.bus_free), (9, 0, 9));
-    }
-
-    #[test]
-    fn grant_order_is_cycle_then_pe() {
-        let q = [
-            BusRequest {
-                pe: PeId(2),
-                cycle: 10,
-            },
-            BusRequest {
-                pe: PeId(1),
-                cycle: 10,
-            },
-            BusRequest {
-                pe: PeId(0),
-                cycle: 11,
-            },
-            BusRequest {
-                pe: PeId(3),
-                cycle: 9,
-            },
-        ];
-        assert_eq!(grant_order(&q), vec![3, 1, 0, 2]);
-    }
-
-    #[test]
-    fn batch_equals_one_by_one() {
-        let q = [
-            BusRequest {
-                pe: PeId(1),
-                cycle: 3,
-            },
-            BusRequest {
-                pe: PeId(0),
-                cycle: 3,
-            },
-            BusRequest {
-                pe: PeId(2),
-                cycle: 0,
-            },
-        ];
-        let holds = [13, 7, 2];
-        let (grants, final_free) = arbitrate_queue(1, &q, |i| holds[i]);
-        // Replay by hand in priority order: queue[2] (PE2@0), then
-        // queue[1] (PE0@3, hold 7), then queue[0] (PE1@3, hold 13).
-        let first = arbitrate(1, 0, 2);
-        let second = arbitrate(first.bus_free, 3, 7);
-        let third = arbitrate(second.bus_free, 3, 13);
-        assert_eq!(grants[2], first);
-        assert_eq!(grants[1], second);
-        assert_eq!(grants[0], third);
-        assert_eq!(final_free, third.bus_free);
     }
 
     #[test]

@@ -40,36 +40,6 @@ pub struct CacheArray {
     lru: Vec<u64>,
     data: Vec<Word>,
     clock: u64,
-    /// When set, hit-path mutations append reversal records to `log` so a
-    /// speculative run can be rolled back (parallel-engine support). The
-    /// speculative paths never install or evict, so records only ever
-    /// reference existing lines.
-    speculative: bool,
-    log: Vec<UndoRec>,
-}
-
-/// Reversal record for one speculative hit-path mutation, applied LIFO by
-/// [`CacheArray::rollback_to`].
-#[derive(Debug, Clone)]
-enum UndoRec {
-    /// A read hit: restore the LRU timestamp and the array clock.
-    Touch {
-        line: u32,
-        last_used: u64,
-        clock: u64,
-    },
-    /// A write hit: restore word, state, LRU timestamp and array clock.
-    Write {
-        line: u32,
-        offset: u32,
-        word: Word,
-        state: BlockState,
-        last_used: u64,
-        clock: u64,
-    },
-    /// An invalidation (local purge): data and LRU stay in place, so
-    /// restoring the state resurrects the line exactly.
-    StateOnly { line: u32, state: BlockState },
 }
 
 /// The valid line an [`CacheArray::install`] displaced. Its words were
@@ -116,63 +86,7 @@ impl CacheArray {
             lru: vec![0; lines],
             data: vec![0; lines * block_words as usize],
             clock: 0,
-            speculative: false,
-            log: Vec::new(),
         }
-    }
-
-    /// Turns speculative undo logging on or off. The flag is toggled by
-    /// the parallel engine: on while a shard speculates, briefly off while
-    /// a committed global operation mutates the array.
-    pub fn set_speculative(&mut self, on: bool) {
-        self.speculative = on;
-    }
-
-    /// Number of undo records currently held.
-    pub fn log_len(&self) -> usize {
-        self.log.len()
-    }
-
-    /// Undoes every speculative mutation past the first `len` records,
-    /// newest first, restoring the array bit-exactly.
-    pub fn rollback_to(&mut self, len: usize) {
-        while self.log.len() > len {
-            let Some(rec) = self.log.pop() else {
-                unreachable!("len checked by the loop condition")
-            };
-            match rec {
-                UndoRec::Touch {
-                    line,
-                    last_used,
-                    clock,
-                } => {
-                    self.lru[line as usize] = last_used;
-                    self.clock = clock;
-                }
-                UndoRec::Write {
-                    line,
-                    offset,
-                    word,
-                    state,
-                    last_used,
-                    clock,
-                } => {
-                    let i = line as usize;
-                    self.data[(i << self.block_shift) + offset as usize] = word;
-                    self.states[i] = state;
-                    self.lru[i] = last_used;
-                    self.clock = clock;
-                }
-                UndoRec::StateOnly { line, state } => {
-                    self.states[line as usize] = state;
-                }
-            }
-        }
-    }
-
-    /// Discards all undo records, making the speculated mutations final.
-    pub fn commit_log(&mut self) {
-        self.log.clear();
     }
 
     /// The cache's geometry.
@@ -235,13 +149,6 @@ impl CacheArray {
     /// Reads the word at `addr` if resident, bumping LRU.
     pub fn read(&mut self, addr: Addr) -> Option<Word> {
         let i = self.find(addr)?;
-        if self.speculative {
-            self.log.push(UndoRec::Touch {
-                line: i as u32,
-                last_used: self.lru[i],
-                clock: self.clock,
-            });
-        }
         self.touch(i);
         Some(self.data[self.word_index(i, addr)])
     }
@@ -253,16 +160,6 @@ impl CacheArray {
             return false;
         };
         let w = self.word_index(i, addr);
-        if self.speculative {
-            self.log.push(UndoRec::Write {
-                line: i as u32,
-                offset: (addr & self.offset_mask) as u32,
-                word: self.data[w],
-                state: self.states[i],
-                last_used: self.lru[i],
-                clock: self.clock,
-            });
-        }
         self.touch(i);
         self.data[w] = value;
         self.states[i] = new_state;
@@ -272,7 +169,6 @@ impl CacheArray {
     /// Sets the state of a resident block without touching data or LRU
     /// (snoop-induced transitions).
     pub fn set_state(&mut self, addr: Addr, state: BlockState) -> bool {
-        debug_assert!(!self.speculative, "set_state is not a speculative path");
         match self.find(addr) {
             Some(i) => {
                 self.states[i] = state;
@@ -283,18 +179,11 @@ impl CacheArray {
     }
 
     /// Invalidates the block containing `addr`, returning its old state.
-    /// The data and LRU stamp stay in place, so a speculative invalidation
-    /// rolls back by restoring the state alone. A caller that needs the
-    /// words copies them from [`CacheArray::block`] first.
+    /// Only the state changes; a caller that needs the words copies them
+    /// from [`CacheArray::block`] first.
     pub fn invalidate(&mut self, addr: Addr) -> Option<BlockState> {
         let i = self.find(addr)?;
         let state = self.states[i];
-        if self.speculative {
-            self.log.push(UndoRec::StateOnly {
-                line: i as u32,
-                state,
-            });
-        }
         self.states[i] = BlockState::Inv;
         Some(state)
     }
@@ -328,7 +217,6 @@ impl CacheArray {
         state: BlockState,
         evicted: &mut [Word],
     ) -> Option<Eviction> {
-        debug_assert!(!self.speculative, "install is not a speculative path");
         assert_eq!(data.len() as u64, self.geometry.block_words, "bad block");
         assert_eq!(
             evicted.len() as u64,
@@ -380,13 +268,7 @@ impl CacheArray {
 
     /// Checkpoint hook: serializes the LRU clock and every line, line by
     /// line (tag, state, LRU stamp, words), whatever the in-memory layout.
-    ///
-    /// Checkpoints are only cut between committed engine chunks, so the
-    /// array must be quiescent: not speculating and with an empty undo
-    /// log. Both are debug-asserted; the log is not serialized.
     pub fn save_ckpt(&self, w: &mut pim_ckpt::Writer) {
-        debug_assert!(!self.speculative, "checkpoint during speculation");
-        debug_assert!(self.log.is_empty(), "checkpoint with a live undo log");
         w.put_u64(self.clock);
         w.put_len(self.tags.len());
         for i in 0..self.tags.len() {
@@ -431,8 +313,6 @@ impl CacheArray {
                 *word = r.get_u64()?;
             }
         }
-        self.speculative = false;
-        self.log.clear();
         Ok(())
     }
 }
@@ -557,19 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn data_survives_invalidate_for_rollback() {
-        let mut c = tiny();
-        install(&mut c, 4, &[1, 2, 3, 4], BlockState::Em);
-        c.set_speculative(true);
-        let mark = c.log_len();
-        assert_eq!(c.invalidate(4), Some(BlockState::Em));
-        assert_eq!(c.block(4), None);
-        c.rollback_to(mark);
-        assert_eq!(c.state_of(4), BlockState::Em);
-        assert_eq!(c.block(4), Some(&[1, 2, 3, 4][..]));
-    }
-
-    #[test]
     fn valid_blocks_enumerates() {
         let mut c = tiny();
         install(&mut c, 0, &[0; 4], BlockState::Ec);
@@ -587,44 +454,6 @@ mod tests {
             let (tag, set, _) = g.decompose(addr);
             assert_eq!(c.split(addr), (tag, set));
         }
-    }
-
-    #[test]
-    fn speculative_rollback_restores_bit_exact_state() {
-        let mut c = tiny();
-        install(&mut c, 0, &[1, 2, 3, 4], BlockState::Ec);
-        install(&mut c, 4, &[5, 6, 7, 8], BlockState::Em);
-        c.read(1); // fix distinct LRU timestamps before speculation
-        let reference = c.clone();
-
-        c.set_speculative(true);
-        let mark = c.log_len();
-        assert_eq!(c.read(2), Some(3));
-        assert!(c.write(5, 99, BlockState::Em));
-        assert!(c.write(0, 42, BlockState::Em));
-        c.invalidate(4);
-        assert!(!c.contains(4));
-        c.rollback_to(mark);
-        c.set_speculative(false);
-
-        assert_eq!(format!("{c:?}"), format!("{reference:?}"));
-        assert_eq!(c.read(5), Some(6));
-        assert_eq!(c.state_of(0), BlockState::Ec);
-    }
-
-    #[test]
-    fn speculative_partial_rollback_keeps_committed_prefix() {
-        let mut c = tiny();
-        install(&mut c, 0, &[0; 4], BlockState::Ec);
-        c.set_speculative(true);
-        c.write(1, 11, BlockState::Em);
-        let mid = c.log_len();
-        c.write(2, 22, BlockState::Em);
-        c.rollback_to(mid);
-        assert_eq!(c.read(1), Some(11), "pre-mark write survives");
-        assert_eq!(c.read(2), Some(0), "post-mark write undone");
-        c.commit_log();
-        assert_eq!(c.log_len(), 0);
     }
 
     #[test]

@@ -69,6 +69,6 @@ pub use error::ProtocolError;
 pub use geometry::CacheGeometry;
 pub use lockdir::{LockDirectory, LockState};
 pub use optmask::{OptColumn, OptMask};
-pub use protocol::{Outcome, PeShard, PimSystem, SystemConfig};
+pub use protocol::{Outcome, PimSystem, SystemConfig};
 pub use state::BlockState;
 pub use stats::{AccessStats, LockStats};

@@ -135,235 +135,19 @@ enum FillOutcome {
     Refused { holder: PeId },
 }
 
-/// One PE's private slice of the system: its cache array and lock
-/// directory, plus shard-local statistics buffers filled by the parallel
-/// engine's speculative hit path ([`PeShard::try_local`]) and folded back
-/// into the system totals by [`PimSystem::fold_shard_stats`].
-///
-/// The shard owns *copies* of the (immutable) geometry, opt-mask and area
-/// map so the hit path needs no access to shared state — that is what
-/// makes `&mut PeShard` safe to hand to a worker thread while other
-/// shards run concurrently.
+/// One PE's private side of the system: its cache array and its lock
+/// directory.
 #[derive(Debug, Clone)]
-pub struct PeShard {
-    pe: PeId,
+struct Pe {
     cache: CacheArray,
     lockdir: LockDirectory,
-    geometry: CacheGeometry,
-    opt_mask: OptMask,
-    area_map: AreaMap,
-    // Shard-local accumulators (speculative path only; the sequential
-    // engine records straight into the PimSystem totals).
-    refs: RefStats,
-    access: AccessStats,
-    transitions: Vec<(u64, StorageArea, BlockState, BlockState)>,
-    record_transitions: bool,
-    // Stat/transition effects of each uncommitted speculative operation,
-    // index-aligned with the parallel engine's journal for this shard.
-    pending: Vec<LocalEffect>,
-}
-
-/// The deferred stat effects of one speculative local operation. Every
-/// local operation is a hit (one lookup, one hit); purges and state
-/// transitions vary.
-#[derive(Debug, Clone)]
-struct LocalEffect {
-    /// `cache.log_len()` before the operation — the rollback mark.
-    cache_mark: u32,
-    /// The effective (post-`OptMask`) operation, as `RefStats` records it.
-    op: MemOp,
-    addr: Addr,
-    area: StorageArea,
-    /// `Some(dirty)` if the operation purged the local block.
-    purged: Option<bool>,
-    transition: Option<(BlockState, BlockState)>,
-    /// The issue cycle of the speculative operation, for cycle-stamped
-    /// transition events.
-    now: u64,
-}
-
-impl PeShard {
-    fn new(pe: PeId, config: &SystemConfig) -> PeShard {
-        PeShard {
-            pe,
-            cache: CacheArray::new(config.geometry),
-            lockdir: LockDirectory::new(config.lock_entries),
-            geometry: config.geometry,
-            opt_mask: config.opt_mask,
-            area_map: config.area_map.clone(),
-            refs: RefStats::new(),
-            access: AccessStats::new(),
-            transitions: Vec::new(),
-            record_transitions: false,
-            pending: Vec::new(),
-        }
-    }
-
-    /// This shard's PE id.
-    pub fn pe(&self) -> PeId {
-        self.pe
-    }
-
-    /// The base address of the block containing `addr`.
-    pub fn block_base(&self, addr: Addr) -> Addr {
-        self.geometry.block_base(addr)
-    }
-
-    /// Speculatively executes `op` if it is *provably local*: it touches
-    /// only this shard (a resident hit with no bus transaction) and so
-    /// commutes with every other PE's concurrent local work. Returns the
-    /// operation's value, or `None` when the operation needs the bus,
-    /// remote shards, or the lock protocol — the caller must then route it
-    /// through [`PimSystem::access`] at a barrier.
-    ///
-    /// `now` is the simulated cycle the operation issues at (the PE clock
-    /// after charging the access), used to cycle-stamp buffered state
-    /// transitions for the event tracer.
-    ///
-    /// Mirrors the corresponding hit arms of the `PimSystem` operation
-    /// methods exactly; `tests/` pins the equivalence differentially.
-    pub fn try_local(
-        &mut self,
-        op: MemOp,
-        addr: Addr,
-        data: Option<Word>,
-        now: u64,
-    ) -> Option<Word> {
-        let area = self.area_map.area(addr);
-        let eff = self.opt_mask.effective(area, op);
-        let cache_mark = self.cache.log_len() as u32;
-        let mut purged = None;
-        let mut transition = None;
-        let value = match eff {
-            MemOp::Read => self.cache.read(addr)?,
-            MemOp::Write => self.local_write(addr, data, &mut transition)?,
-            MemOp::DirectWrite => {
-                if self.geometry.is_block_boundary(addr) && !self.cache.contains(addr) {
-                    return None; // the allocate path checks remote caches
-                }
-                self.local_write(addr, data, &mut transition)?
-            }
-            MemOp::DirectWriteDown => {
-                if self.geometry.is_last_word(addr) && !self.cache.contains(addr) {
-                    return None;
-                }
-                self.local_write(addr, data, &mut transition)?
-            }
-            MemOp::ExclusiveRead => {
-                let value = self.cache.read(addr)?;
-                if self.geometry.is_last_word(addr) {
-                    self.local_purge(addr, &mut purged, &mut transition);
-                }
-                value
-            }
-            MemOp::ReadPurge => {
-                let value = self.cache.read(addr)?;
-                self.local_purge(addr, &mut purged, &mut transition);
-                value
-            }
-            MemOp::ReadInvalidate => self.cache.read(addr)?,
-            // Lock traffic always goes through the global protocol: even a
-            // bus-free LR hit consults every remote lock directory.
-            MemOp::LockRead | MemOp::WriteUnlock | MemOp::Unlock => return None,
-        };
-        self.pending.push(LocalEffect {
-            cache_mark,
-            op: eff,
-            addr,
-            area,
-            purged,
-            transition,
-            now,
-        });
-        Some(value)
-    }
-
-    /// The `W` hit arm: exclusive states write locally; anything else
-    /// needs an upgrade broadcast or a fill.
-    fn local_write(
-        &mut self,
-        addr: Addr,
-        data: Option<Word>,
-        transition: &mut Option<(BlockState, BlockState)>,
-    ) -> Option<Word> {
-        let from = self.cache.state_of(addr);
-        match from {
-            BlockState::Em | BlockState::Ec => {
-                let Some(value) = data else {
-                    unreachable!("write operations always carry a data word")
-                };
-                self.cache.write(addr, value, BlockState::Em);
-                if from == BlockState::Ec {
-                    *transition = Some((BlockState::Ec, BlockState::Em));
-                }
-                Some(value)
-            }
-            _ => None,
-        }
-    }
-
-    fn local_purge(
-        &mut self,
-        addr: Addr,
-        purged: &mut Option<bool>,
-        transition: &mut Option<(BlockState, BlockState)>,
-    ) {
-        if let Some(state) = self.cache.invalidate(addr) {
-            *purged = Some(state.is_dirty());
-            *transition = Some((state, BlockState::Inv));
-        }
-    }
-
-    /// Number of uncommitted speculative operations.
-    pub fn spec_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Rolls back every speculative operation from index `len` on,
-    /// restoring the cache bit-exactly and dropping their stat effects.
-    pub fn rollback_to(&mut self, len: usize) {
-        if len >= self.pending.len() {
-            return;
-        }
-        self.cache
-            .rollback_to(self.pending[len].cache_mark as usize);
-        self.pending.truncate(len);
-    }
-
-    /// Commits all speculative operations: folds their stat effects into
-    /// the shard accumulators and discards the undo log.
-    pub fn commit_speculation(&mut self) {
-        for e in self.pending.drain(..) {
-            self.access.lookups += 1;
-            self.access.hits += 1;
-            if let Some(dirty) = e.purged {
-                self.access.purges += 1;
-                if dirty {
-                    self.access.dirty_purges += 1;
-                }
-            }
-            self.refs.record(Access::new(self.pe, e.op, e.addr, e.area));
-            if self.record_transitions {
-                if let Some((from, to)) = e.transition {
-                    self.transitions.push((e.now, e.area, from, to));
-                }
-            }
-        }
-        self.cache.commit_log();
-    }
-
-    /// Toggles undo logging on the cache array. On while the shard
-    /// speculates; off while a committed global operation runs.
-    pub fn set_speculating(&mut self, on: bool) {
-        self.cache.set_speculative(on);
-    }
 }
 
 /// The PIM multiprocessor memory system (Section 3 of the paper).
 #[derive(Debug)]
 pub struct PimSystem {
     config: SystemConfig,
-    shards: Vec<PeShard>,
+    pes: Vec<Pe>,
     memory: SharedMemory,
     bus: BusStats,
     refs: RefStats,
@@ -389,7 +173,7 @@ impl Clone for PimSystem {
     fn clone(&self) -> PimSystem {
         PimSystem {
             config: self.config.clone(),
-            shards: self.shards.clone(),
+            pes: self.pes.clone(),
             memory: self.memory.clone(),
             bus: self.bus.clone(),
             refs: self.refs.clone(),
@@ -411,13 +195,16 @@ impl PimSystem {
     /// Panics if `config.pes` is zero.
     pub fn new(config: SystemConfig) -> PimSystem {
         assert!(config.pes > 0, "need at least one PE");
-        let shards = (0..config.pes)
-            .map(|pe| PeShard::new(PeId(pe), &config))
+        let pes = (0..config.pes)
+            .map(|_| Pe {
+                cache: CacheArray::new(config.geometry),
+                lockdir: LockDirectory::new(config.lock_entries),
+            })
             .collect();
         let block = vec![0; config.geometry.block_words as usize];
         PimSystem {
             config,
-            shards,
+            pes,
             memory: SharedMemory::new(),
             bus: BusStats::new(),
             refs: RefStats::new(),
@@ -430,94 +217,14 @@ impl PimSystem {
         }
     }
 
-    /// Mutable access to the per-PE shards, for the parallel engine: the
-    /// slice can be split and each `&mut PeShard` driven from a worker
-    /// thread via [`PeShard::try_local`] while the shared core is left
-    /// alone.
-    pub fn shards_mut(&mut self) -> &mut [PeShard] {
-        &mut self.shards
-    }
-
-    /// Moves the per-PE shards out of the system so worker threads can own
-    /// them between barriers. While taken, [`PimSystem::access`] must not
-    /// be called; give them back with [`PimSystem::put_shards`] first.
-    pub fn take_shards(&mut self) -> Vec<PeShard> {
-        std::mem::take(&mut self.shards)
-    }
-
-    /// Returns shards previously removed with [`PimSystem::take_shards`].
-    /// The vector must contain the same shards in PE order.
-    pub fn put_shards(&mut self, shards: Vec<PeShard>) {
-        debug_assert!(self.shards.is_empty(), "put_shards over resident shards");
-        debug_assert_eq!(shards.len(), self.config.pes as usize);
-        self.shards = shards;
-    }
-
-    /// Prepares every shard for a parallel run: arms the speculative undo
-    /// logs and enables transition buffering iff an observer is attached.
-    pub fn begin_sharded_run(&mut self) {
-        let record = self.observer.is_some();
-        for shard in &mut self.shards {
-            shard.record_transitions = record;
-            shard.set_speculating(true);
-        }
-    }
-
-    /// Suspends speculative undo logging on every shard while a committed
-    /// global operation mutates remote shards (its effects must not be
-    /// rolled back with the speculation).
-    pub fn pause_speculation(&mut self) {
-        for shard in &mut self.shards {
-            shard.set_speculating(false);
-        }
-    }
-
-    /// Re-arms speculative undo logging after [`PimSystem::pause_speculation`].
-    pub fn resume_speculation(&mut self) {
-        for shard in &mut self.shards {
-            shard.set_speculating(true);
-        }
-    }
-
-    /// Commits all outstanding speculation and folds every shard-local
-    /// accumulator into the system totals, forwarding buffered state
-    /// transitions to the observer (grouped by PE; the transition counts
-    /// are commutative, so reports are bit-identical to sequential runs).
-    /// After this the shard buffers are empty and logging is off.
-    pub fn fold_shard_stats(&mut self) {
-        for i in 0..self.shards.len() {
-            self.shards[i].commit_speculation();
-            let refs = std::mem::take(&mut self.shards[i].refs);
-            self.refs.merge(&refs);
-            let access = std::mem::take(&mut self.shards[i].access);
-            self.access_stats.merge(&access);
-            let transitions = std::mem::take(&mut self.shards[i].transitions);
-            if let Some(obs) = self.observer.as_deref_mut() {
-                let pe = PeId(i as u32);
-                for (cycle, area, from, to) in transitions {
-                    obs.state_transition(pe, area, from.into(), to.into(), cycle);
-                }
-            }
-            self.shards[i].record_transitions = false;
-            self.shards[i].set_speculating(false);
-        }
-    }
-
     /// Checkpoint hook: serializes the complete coherence state — every
-    /// shard's cache array and lock directory, the shared memory, and the
+    /// PE's cache array and lock directory, the shared memory, and the
     /// system-level statistics accumulators.
-    ///
-    /// Must be called at a quiesced point: all speculation committed and
-    /// shard-local accumulators folded (see
-    /// [`PimSystem::fold_shard_stats`]). This holds between engine run
-    /// chunks, which is the only place checkpoints are cut.
     pub fn save_ckpt(&self, w: &mut pim_ckpt::Writer) {
-        w.put_len(self.shards.len());
-        for shard in &self.shards {
-            debug_assert!(shard.pending.is_empty(), "checkpoint with uncommitted ops");
-            debug_assert!(shard.refs.total() == 0, "checkpoint with unfolded refs");
-            shard.cache.save_ckpt(w);
-            shard.lockdir.save_ckpt(w);
+        w.put_len(self.pes.len());
+        for pe in &self.pes {
+            pe.cache.save_ckpt(w);
+            pe.lockdir.save_ckpt(w);
         }
         self.memory.save_ckpt(w);
         self.bus.save_ckpt(w);
@@ -561,14 +268,14 @@ impl PimSystem {
         r: &mut pim_ckpt::Reader<'_>,
     ) -> Result<(), pim_ckpt::CkptError> {
         let n = r.get_len()?;
-        if n != self.shards.len() {
+        if n != self.pes.len() {
             return Err(pim_ckpt::CkptError::Mismatch {
-                detail: format!("system has {} PEs, checkpoint has {n}", self.shards.len()),
+                detail: format!("system has {} PEs, checkpoint has {n}", self.pes.len()),
             });
         }
-        for shard in self.shards.iter_mut() {
-            shard.cache.restore_ckpt(r)?;
-            shard.lockdir.restore_ckpt(r)?;
+        for pe in self.pes.iter_mut() {
+            pe.cache.restore_ckpt(r)?;
+            pe.lockdir.restore_ckpt(r)?;
         }
         self.memory.restore_ckpt(r)?;
         self.bus.restore_ckpt(r)?;
@@ -610,10 +317,10 @@ impl PimSystem {
     /// and its registered waiters, if any PE holds a lock on that word
     /// (testing hook for lock-invariant checks).
     pub fn lock_holder(&self, addr: Addr) -> Option<(PeId, Vec<PeId>)> {
-        self.shards.iter().enumerate().find_map(|(i, s)| {
-            s.lockdir
+        self.pes.iter().enumerate().find_map(|(i, p)| {
+            p.lockdir
                 .holds(addr)
-                .then(|| (PeId(i as u32), s.lockdir.waiters(addr)))
+                .then(|| (PeId(i as u32), p.lockdir.waiters(addr)))
         })
     }
 
@@ -622,7 +329,7 @@ impl PimSystem {
     /// model checking — excludes replacement bookkeeping on purpose, so two
     /// systems with equal views are behaviorally equivalent on one block).
     pub fn cache_view(&self, pe: PeId, addr: Addr) -> Option<(BlockState, Vec<Word>)> {
-        let cache = &self.shards[pe.index()].cache;
+        let cache = &self.pes[pe.index()].cache;
         let words = cache.block(addr)?.to_vec();
         Some((cache.state_of(addr), words))
     }
@@ -630,9 +337,9 @@ impl PimSystem {
     /// The lock-directory view of `addr` in `pe`'s own directory: its entry
     /// state and registered waiters, or `None` when absent (testing hook).
     pub fn lock_view(&self, pe: PeId, addr: Addr) -> Option<(LockState, Vec<PeId>)> {
-        let shard = &self.shards[pe.index()];
-        let state = shard.lockdir.state_of(addr)?;
-        Some((state, shard.lockdir.waiters(addr)))
+        let lockdir = &self.pes[pe.index()].lockdir;
+        let state = lockdir.state_of(addr)?;
+        Some((state, lockdir.waiters(addr)))
     }
 
     /// Attaches an observer receiving a [`pim_obs::Observer::state_transition`]
@@ -683,7 +390,7 @@ impl PimSystem {
     /// load program text and boot images before measurement starts.
     pub fn poke(&mut self, addr: Addr, value: Word) {
         debug_assert!(
-            !self.shards.iter().any(|s| s.cache.contains(addr)),
+            !self.pes.iter().any(|p| p.cache.contains(addr)),
             "poke under a cached block"
         );
         self.memory.write(addr, value);
@@ -693,8 +400,8 @@ impl PimSystem {
     /// inspection after a run. Prefers a cached copy (the freshest data)
     /// over memory.
     pub fn peek(&self, addr: Addr) -> Word {
-        for shard in &self.shards {
-            if let Some(v) = shard.cache.snapshot_word(addr) {
+        for pe in &self.pes {
+            if let Some(v) = pe.cache.snapshot_word(addr) {
                 return v;
             }
         }
@@ -723,7 +430,7 @@ impl PimSystem {
         addr: Addr,
         data: Option<Word>,
     ) -> Result<Outcome, ProtocolError> {
-        assert!((pe.index()) < self.shards.len(), "unknown {pe}");
+        assert!((pe.index()) < self.pes.len(), "unknown {pe}");
         let area = self.config.area_map.area(addr);
         let eff = self.config.opt_mask.effective(area, op);
 
@@ -762,10 +469,10 @@ impl PimSystem {
 
     fn cache_write(&mut self, pe: PeId, addr: Addr, value: Word, state: BlockState) -> bool {
         if self.observer.is_none() {
-            return self.shards[pe.index()].cache.write(addr, value, state);
+            return self.pes[pe.index()].cache.write(addr, value, state);
         }
-        let from = self.shards[pe.index()].cache.state_of(addr);
-        let wrote = self.shards[pe.index()].cache.write(addr, value, state);
+        let from = self.pes[pe.index()].cache.state_of(addr);
+        let wrote = self.pes[pe.index()].cache.write(addr, value, state);
         if wrote && from != state {
             self.emit_transition(pe, addr, from, state);
         }
@@ -776,7 +483,7 @@ impl PimSystem {
     /// in `pe`'s cache. Residency is an invariant at every call site,
     /// so a miss here is a protocol bug, not a recoverable condition.
     fn read_resident(&mut self, pe: PeId, addr: Addr) -> Word {
-        let Some(value) = self.shards[pe.index()].cache.read(addr) else {
+        let Some(value) = self.pes[pe.index()].cache.read(addr) else {
             unreachable!("word {addr:#x} verified resident on PE{}", pe.0)
         };
         value
@@ -784,10 +491,10 @@ impl PimSystem {
 
     fn cache_set_state(&mut self, pe: PeId, addr: Addr, state: BlockState) -> bool {
         if self.observer.is_none() {
-            return self.shards[pe.index()].cache.set_state(addr, state);
+            return self.pes[pe.index()].cache.set_state(addr, state);
         }
-        let from = self.shards[pe.index()].cache.state_of(addr);
-        let changed = self.shards[pe.index()].cache.set_state(addr, state);
+        let from = self.pes[pe.index()].cache.state_of(addr);
+        let changed = self.pes[pe.index()].cache.set_state(addr, state);
         if changed && from != state {
             self.emit_transition(pe, addr, from, state);
         }
@@ -795,7 +502,7 @@ impl PimSystem {
     }
 
     fn cache_invalidate(&mut self, pe: PeId, addr: Addr) -> Option<BlockState> {
-        let dropped = self.shards[pe.index()].cache.invalidate(addr);
+        let dropped = self.pes[pe.index()].cache.invalidate(addr);
         if self.observer.is_some() {
             if let Some(from) = dropped {
                 self.emit_transition(pe, addr, from, BlockState::Inv);
@@ -808,7 +515,7 @@ impl PimSystem {
     /// valid line's words land in `self.evict_buf`.
     fn cache_install(&mut self, pe: PeId, base: Addr, state: BlockState) -> Option<Eviction> {
         let evicted =
-            self.shards[pe.index()]
+            self.pes[pe.index()]
                 .cache
                 .install(base, &self.fill_buf, state, &mut self.evict_buf);
         if self.observer.is_some() {
@@ -828,12 +535,11 @@ impl PimSystem {
     /// any: `(holder, locked word)`.
     fn lock_conflict(&self, requester: PeId, base: Addr) -> Option<(PeId, Addr)> {
         let bw = self.config.geometry.block_words;
-        self.shards.iter().enumerate().find_map(|(i, shard)| {
+        self.pes.iter().enumerate().find_map(|(i, p)| {
             if i == requester.index() {
                 return None;
             }
-            shard
-                .lockdir
+            p.lockdir
                 .locked_word_in_block(base, bw)
                 .map(|w| (PeId(i as u32), w))
         })
@@ -848,7 +554,7 @@ impl PimSystem {
         locked_word: Addr,
         area: StorageArea,
     ) -> Outcome {
-        self.shards[holder.index()]
+        self.pes[holder.index()]
             .lockdir
             .register_waiter(locked_word, requester);
         self.lock_stats.lr_refused += 1;
@@ -860,11 +566,11 @@ impl PimSystem {
     /// owner, falls back to the lowest-numbered valid holder.
     fn find_supplier(&self, requester: PeId, base: Addr) -> Option<(PeId, BlockState)> {
         let mut clean = None;
-        for (i, shard) in self.shards.iter().enumerate() {
+        for (i, p) in self.pes.iter().enumerate() {
             if i == requester.index() {
                 continue;
             }
-            let state = shard.cache.state_of(base);
+            let state = p.cache.state_of(base);
             if state.is_dirty() {
                 return Some((PeId(i as u32), state));
             }
@@ -877,10 +583,10 @@ impl PimSystem {
 
     /// Whether any other cache holds `base` (the `DW` contract check).
     fn held_remotely(&self, requester: PeId, base: Addr) -> bool {
-        self.shards
+        self.pes
             .iter()
             .enumerate()
-            .any(|(i, s)| i != requester.index() && s.cache.contains(base))
+            .any(|(i, p)| i != requester.index() && p.cache.contains(base))
     }
 
     // ------------------------------------------------------------------
@@ -933,11 +639,11 @@ impl PimSystem {
                     // taken before its invalidation: the supplier's, or
                     // else the first dirty one.
                     let mut copied = false;
-                    for i in 0..self.shards.len() {
+                    for i in 0..self.pes.len() {
                         if i == pe.index() {
                             continue;
                         }
-                        let cache = &self.shards[i].cache;
+                        let cache = &self.pes[i].cache;
                         if let Some(words) = cache.block(base) {
                             if i == sup.index() || (cache.state_of(base).is_dirty() && !copied) {
                                 self.fill_buf.copy_from_slice(words);
@@ -953,7 +659,7 @@ impl PimSystem {
                     // F: the supplier keeps the data; a dirty supplier
                     // becomes the SM owner, a clean exclusive one drops
                     // to S. Memory is not updated (unlike Illinois).
-                    let Some(words) = self.shards[sup.index()].cache.block(base) else {
+                    let Some(words) = self.pes[sup.index()].cache.block(base) else {
                         unreachable!("supplier had the block")
                     };
                     self.fill_buf.copy_from_slice(words);
@@ -1035,7 +741,7 @@ impl PimSystem {
             self.bus.record_cmd(BusCommand::Lock);
         }
         let mut dropped_dirty = false;
-        for i in 0..self.shards.len() {
+        for i in 0..self.pes.len() {
             if i != pe.index() {
                 if let Some(state) = self.cache_invalidate(PeId(i as u32), base) {
                     dropped_dirty |= state.is_dirty();
@@ -1062,7 +768,7 @@ impl PimSystem {
 
     fn read(&mut self, pe: PeId, addr: Addr, area: StorageArea) -> Outcome {
         self.access_stats.lookups += 1;
-        if let Some(value) = self.shards[pe.index()].cache.read(addr) {
+        if let Some(value) = self.pes[pe.index()].cache.read(addr) {
             self.access_stats.hits += 1;
             return done(value, 0, true);
         }
@@ -1077,7 +783,7 @@ impl PimSystem {
 
     fn write(&mut self, pe: PeId, addr: Addr, value: Word, area: StorageArea) -> Outcome {
         self.access_stats.lookups += 1;
-        match self.shards[pe.index()].cache.state_of(addr) {
+        match self.pes[pe.index()].cache.state_of(addr) {
             BlockState::Em | BlockState::Ec => {
                 self.access_stats.hits += 1;
                 self.cache_write(pe, addr, value, BlockState::Em);
@@ -1108,7 +814,7 @@ impl PimSystem {
     /// Optimizes *upward*-growing allocation (heap, records).
     fn direct_write(&mut self, pe: PeId, addr: Addr, value: Word, area: StorageArea) -> Outcome {
         let geom = self.config.geometry;
-        if !geom.is_block_boundary(addr) || self.shards[pe.index()].cache.contains(addr) {
+        if !geom.is_block_boundary(addr) || self.pes[pe.index()].cache.contains(addr) {
             // Case (ii): not a boundary (or already resident): plain write.
             return self.write(pe, addr, value, area);
         }
@@ -1127,7 +833,7 @@ impl PimSystem {
         area: StorageArea,
     ) -> Outcome {
         let geom = self.config.geometry;
-        if !geom.is_last_word(addr) || self.shards[pe.index()].cache.contains(addr) {
+        if !geom.is_last_word(addr) || self.pes[pe.index()].cache.contains(addr) {
             return self.write(pe, addr, value, area);
         }
         self.direct_allocate(pe, addr, value, area)
@@ -1174,7 +880,7 @@ impl PimSystem {
     /// otherwise.
     fn exclusive_read(&mut self, pe: PeId, addr: Addr, area: StorageArea) -> Outcome {
         let geom = self.config.geometry;
-        let resident = self.shards[pe.index()].cache.contains(addr);
+        let resident = self.pes[pe.index()].cache.contains(addr);
         if resident {
             if geom.is_last_word(addr) {
                 // Case (ii): read, then forcibly purge the local block —
@@ -1207,7 +913,7 @@ impl PimSystem {
     /// local cache entirely (it would be purged immediately anyway).
     fn read_purge(&mut self, pe: PeId, addr: Addr, area: StorageArea) -> Outcome {
         self.access_stats.lookups += 1;
-        if self.shards[pe.index()].cache.contains(addr) {
+        if self.pes[pe.index()].cache.contains(addr) {
             self.access_stats.hits += 1;
             let value = self.read_resident(pe, addr);
             self.purge_local(pe, addr);
@@ -1229,7 +935,7 @@ impl PimSystem {
     /// `RI` (Section 3.2 (4)): read with intent to rewrite — a miss
     /// fetches exclusively (`FI`) so the later write needs no `I`.
     fn read_invalidate(&mut self, pe: PeId, addr: Addr, area: StorageArea) -> Outcome {
-        if self.shards[pe.index()].cache.contains(addr) {
+        if self.pes[pe.index()].cache.contains(addr) {
             return self.read(pe, addr, area);
         }
         self.access_stats.lookups += 1;
@@ -1264,7 +970,7 @@ impl PimSystem {
         addr: Addr,
         area: StorageArea,
     ) -> Result<Outcome, ProtocolError> {
-        if self.shards[pe.index()].lockdir.holds(addr) {
+        if self.pes[pe.index()].lockdir.holds(addr) {
             return Err(ProtocolError::AlreadyLocked { addr });
         }
         let base = self.config.geometry.block_base(addr);
@@ -1273,12 +979,12 @@ impl PimSystem {
         }
 
         self.access_stats.lookups += 1;
-        let state = self.shards[pe.index()].cache.state_of(addr);
+        let state = self.pes[pe.index()].cache.state_of(addr);
         let outcome = match state {
             BlockState::Em | BlockState::Ec => {
                 // The bus-free case the hardware lock exists for: no other
                 // cache can hold the block, so registering locally is safe.
-                self.shards[pe.index()].lockdir.lock(addr)?;
+                self.pes[pe.index()].lockdir.lock(addr)?;
                 self.note_lock_depth(pe);
                 self.lock_stats.lr_total += 1;
                 self.lock_stats.lr_hits += 1;
@@ -1300,7 +1006,7 @@ impl PimSystem {
                     BlockState::Ec
                 };
                 self.cache_set_state(pe, addr, upgraded);
-                self.shards[pe.index()].lockdir.lock(addr)?;
+                self.pes[pe.index()].lockdir.lock(addr)?;
                 self.note_lock_depth(pe);
                 self.lock_stats.lr_total += 1;
                 self.lock_stats.lr_hits += 1;
@@ -1311,7 +1017,7 @@ impl PimSystem {
             BlockState::Inv => match self.fill(pe, addr, true, true, true, area) {
                 FillOutcome::Refused { holder } => return Ok(Outcome::LockBusy { holder }),
                 FillOutcome::Filled(f) => {
-                    self.shards[pe.index()].lockdir.lock(addr)?;
+                    self.pes[pe.index()].lockdir.lock(addr)?;
                     self.note_lock_depth(pe);
                     self.lock_stats.lr_total += 1;
                     let value = self.read_resident(pe, addr);
@@ -1332,7 +1038,7 @@ impl PimSystem {
         value: Word,
         area: StorageArea,
     ) -> Result<Outcome, ProtocolError> {
-        if !self.shards[pe.index()].lockdir.holds(addr) {
+        if !self.pes[pe.index()].lockdir.holds(addr) {
             return Err(ProtocolError::NotLocked { addr });
         }
         let write_outcome = self.write(pe, addr, value, area);
@@ -1361,7 +1067,7 @@ impl PimSystem {
         addr: Addr,
         area: StorageArea,
     ) -> Result<Outcome, ProtocolError> {
-        if !self.shards[pe.index()].lockdir.holds(addr) {
+        if !self.pes[pe.index()].lockdir.holds(addr) {
             return Err(ProtocolError::NotLocked { addr });
         }
         let (cycles, woken) = self.release(pe, addr, area)?;
@@ -1375,7 +1081,7 @@ impl PimSystem {
 
     /// Records the lock-directory occupancy high-water mark.
     fn note_lock_depth(&mut self, pe: PeId) {
-        let depth = self.shards[pe.index()].lockdir.len() as u64;
+        let depth = self.pes[pe.index()].lockdir.len() as u64;
         if depth > self.lock_stats.max_simultaneous_locks {
             self.lock_stats.max_simultaneous_locks = depth;
         }
@@ -1388,7 +1094,7 @@ impl PimSystem {
         addr: Addr,
         area: StorageArea,
     ) -> Result<(u64, Vec<PeId>), ProtocolError> {
-        let woken = self.shards[pe.index()].lockdir.unlock(addr)?;
+        let woken = self.pes[pe.index()].lockdir.unlock(addr)?;
         self.lock_stats.unlock_total += 1;
         if woken.is_empty() {
             self.lock_stats.unlock_no_waiter += 1;
@@ -1426,8 +1132,8 @@ impl PimSystem {
     pub fn check_coherence_invariants(&self) -> Result<(), String> {
         use std::collections::HashMap;
         let mut holders: HashMap<Addr, Vec<(PeId, BlockState)>> = HashMap::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            for (base, state) in shard.cache.valid_blocks() {
+        for (i, p) in self.pes.iter().enumerate() {
+            for (base, state) in p.cache.valid_blocks() {
                 holders
                     .entry(base)
                     .or_default()
@@ -1454,9 +1160,9 @@ impl PimSystem {
                     }
                 }
             }
-            let first = self.shards[list[0].0.index()].cache.block(base);
+            let first = self.pes[list[0].0.index()].cache.block(base);
             for (pe, _) in &list[1..] {
-                if self.shards[pe.index()].cache.block(base) != first {
+                if self.pes[pe.index()].cache.block(base) != first {
                     return Err(format!("block {base:#x}: copies diverge"));
                 }
             }
@@ -1466,12 +1172,12 @@ impl PimSystem {
 
     /// The cache state of `addr` in `pe`'s cache (testing hook).
     pub fn cache_state(&self, pe: PeId, addr: Addr) -> BlockState {
-        self.shards[pe.index()].cache.state_of(addr)
+        self.pes[pe.index()].cache.state_of(addr)
     }
 
     /// Whether `pe` currently holds a lock on `addr` (testing hook).
     pub fn holds_lock(&self, pe: PeId, addr: Addr) -> bool {
-        self.shards[pe.index()].lockdir.holds(addr)
+        self.pes[pe.index()].lockdir.holds(addr)
     }
 }
 

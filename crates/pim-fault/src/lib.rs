@@ -4,10 +4,9 @@
 //! directory; this crate supplies the adversarial stimulus a real
 //! multiprocessor would see. A [`FaultPlan`] is a *pure function* from
 //! `(seed, cycle, pe, attempt)` to an optional [`FaultKind`], evaluated
-//! with a splitmix64 mix — no mutable PRNG state, so the sequential
-//! engine and the speculative parallel engine (which may evaluate the
-//! plan in different wall-clock orders and re-evaluate it on rollback)
-//! draw *identical* faults for identical simulated cycles. Every fault
+//! with a splitmix64 mix — no mutable PRNG state, so a run, a rerun, and
+//! a run resumed from a checkpoint draw *identical* faults for identical
+//! simulated cycles. Every fault
 //! is timing-only: it delays the victim operation (NACK + backoff,
 //! parity retry, snoop-ack timeout, stall window) but never corrupts
 //! protocol state, so a faulted run reaches the same final machine
@@ -16,8 +15,8 @@
 //! `max_retries` attempts of one operation.
 //!
 //! The crate also hosts the lock-directory deadlock detector
-//! ([`find_cycle`]) used by both engines to turn an LWAIT wait-for
-//! cycle into a structured error instead of a hang.
+//! ([`find_cycle`]) the engine uses to turn an LWAIT wait-for cycle
+//! into a structured error instead of a hang.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -384,8 +383,8 @@ pub struct FaultyGrant {
 /// Arbitrates a bus operation under `plan`, replaying the bounded
 /// NACK/parity/snoop-timeout/stall chain the plan dictates for this
 /// `(cycle, pe)`. Pure arithmetic over [`pim_bus::arbitrate`]: the same
-/// arguments always produce the same grant, independent of engine or
-/// thread count. With an inactive plan this is exactly `arbitrate`.
+/// arguments always produce the same grant. With an inactive plan this
+/// is exactly `arbitrate`.
 pub fn arbitrate_with_faults(
     plan: &FaultPlan,
     bus_free: u64,

@@ -4,7 +4,7 @@
 use pim_perf::Profiler;
 use proptest::prelude::*;
 
-const PHASES: [&str; 4] = ["engine run", "gc", "coordinator replay", "report write"];
+const PHASES: [&str; 4] = ["engine run", "gc", "checkpoint", "report write"];
 
 /// Interprets a byte string as a nesting program: low bits pick
 /// open-a-span (of one of four phases) vs close-the-innermost-span.

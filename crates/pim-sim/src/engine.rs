@@ -85,6 +85,12 @@ pub struct Engine<S> {
     fault_stats: FaultStats,
     watchdog: Option<u64>,
     pending_error: Option<SimError>,
+    // Stuck-replay detection: `progress` advances on every step that
+    // issues a memory operation or does more than idle; `quiet_at[pe]`
+    // holds its value at PE's latest idle step that issued no memory
+    // operation. A PE is quiet while the two are equal.
+    progress: u64,
+    quiet_at: Vec<u64>,
 }
 
 impl<S: MemorySystem> Engine<S> {
@@ -104,6 +110,8 @@ impl<S: MemorySystem> Engine<S> {
             fault_stats: FaultStats::new(),
             watchdog: None,
             pending_error: None,
+            progress: 1,
+            quiet_at: vec![0; pes as usize],
         }
     }
 
@@ -233,7 +241,10 @@ impl<S: MemorySystem> Engine<S> {
     /// closes a cycle, [`SimError::Protocol`] when the process misuses
     /// the lock protocol, and [`SimError::WatchdogExpired`] when a
     /// watchdog budget set via [`Engine::set_watchdog`] is exceeded.
-    /// Each is also reported to the attached observer.
+    /// Each is also reported to the attached observer. Returns
+    /// [`SimError::ReplayStuck`] when some PE is blocked and every
+    /// other PE only idles without touching memory, so nothing can
+    /// ever release the lock it waits on.
     pub fn run(
         &mut self,
         process: &mut impl Process,
@@ -262,6 +273,7 @@ impl<S: MemorySystem> Engine<S> {
                 return Err(self.deadlock_error());
             };
 
+            let clock_before = self.clocks[pe.index()];
             let mut port = EnginePort {
                 system: &mut self.system,
                 clock: &mut self.clocks[pe.index()],
@@ -285,6 +297,14 @@ impl<S: MemorySystem> Engine<S> {
                 return Err(err);
             }
             let pe_clock_now = self.clocks[pe.index()];
+            // An idle step that left the clock alone issued no memory
+            // operation and changed nothing any other PE can see.
+            let quiet = outcome == StepOutcome::Idle && pe_clock_now == clock_before;
+            if quiet {
+                self.quiet_at[pe.index()] = self.progress;
+            } else {
+                self.progress += 1;
+            }
             for (w, addr, area) in woken {
                 if w != pe {
                     self.blocked[w.index()] = false;
@@ -309,6 +329,11 @@ impl<S: MemorySystem> Engine<S> {
                 StepOutcome::Idle => {
                     self.clocks[pe.index()] += self.idle_poll_cycles;
                     self.accounts[pe.index()].idle += self.idle_poll_cycles;
+                    if quiet {
+                        if let Some(pes) = self.stuck_pes() {
+                            return Err(SimError::ReplayStuck { pes });
+                        }
+                    }
                 }
                 StepOutcome::Stalled => {
                     assert!(stalled, "process reported a stall the port did not see");
@@ -446,7 +471,26 @@ impl<S: MemorySystem> Engine<S> {
             None
         };
         self.pending_error = None;
+        // Idle steps taken before the restore say nothing about the
+        // restored state.
+        self.progress += 1;
         Ok(())
+    }
+
+    /// The blocked PEs, if at least one PE is blocked and every other
+    /// PE has been quiet since the last step that made progress. Such a
+    /// machine never moves again: a lock is released only by a memory
+    /// operation, and no PE that could issue one will.
+    fn stuck_pes(&self) -> Option<Vec<PeId>> {
+        let mut pes = Vec::new();
+        for (i, &blocked) in self.blocked.iter().enumerate() {
+            if blocked {
+                pes.push(PeId(i as u32));
+            } else if self.quiet_at[i] != self.progress {
+                return None;
+            }
+        }
+        (!pes.is_empty()).then_some(pes)
     }
 
     /// Builds the deadlock error for the all-blocked fallback.
@@ -465,7 +509,7 @@ impl<S: MemorySystem> Engine<S> {
 }
 
 /// Stable checkpoint tag of a [`MemOp`]: its index in [`MemOp::ALL`].
-pub(crate) fn mem_op_tag(op: MemOp) -> u8 {
+fn mem_op_tag(op: MemOp) -> u8 {
     match MemOp::ALL.iter().position(|&o| o == op) {
         Some(i) => i as u8,
         None => unreachable!("MemOp::ALL covers every variant"),
@@ -473,7 +517,7 @@ pub(crate) fn mem_op_tag(op: MemOp) -> u8 {
 }
 
 /// Decodes a [`MemOp`] checkpoint tag.
-pub(crate) fn mem_op_from_tag(tag: u8) -> Result<MemOp, pim_ckpt::CkptError> {
+fn mem_op_from_tag(tag: u8) -> Result<MemOp, pim_ckpt::CkptError> {
     MemOp::ALL
         .get(tag as usize)
         .copied()
@@ -483,7 +527,7 @@ pub(crate) fn mem_op_from_tag(tag: u8) -> Result<MemOp, pim_ckpt::CkptError> {
 }
 
 /// Decodes a [`pim_trace::StorageArea`] checkpoint tag.
-pub(crate) fn area_from_tag(tag: u8) -> Result<pim_trace::StorageArea, pim_ckpt::CkptError> {
+fn area_from_tag(tag: u8) -> Result<pim_trace::StorageArea, pim_ckpt::CkptError> {
     pim_trace::StorageArea::ALL
         .get(tag as usize)
         .copied()
@@ -546,11 +590,10 @@ impl<S: MemorySystem> MemoryPort for EnginePort<'_, S> {
                 ..
             } => {
                 if bus_cycles > 0 {
-                    // The same pure arbitration the parallel engine applies
-                    // at its epoch barriers — sharing it is what makes the
-                    // two engines bit-identical. Fault decisions key on the
-                    // issue cycle and PE id, which are engine-independent,
-                    // so the injected schedule is bit-identical too.
+                    // Pure arbitration, optionally through the fault plan.
+                    // Fault decisions key on the issue cycle and PE id
+                    // only, so the injected schedule is a pure function of
+                    // the simulated run.
                     let grant = match self.fault_plan {
                         Some(plan) => {
                             let fg = arbitrate_with_faults(
@@ -811,6 +854,61 @@ mod tests {
             stats.makespan >= 26,
             "makespan {} too small",
             stats.makespan
+        );
+    }
+
+    fn heap_trace(ops: &[(u32, MemOp, u64)]) -> (PimSystem, Vec<Access>) {
+        let pes = 1 + ops.iter().map(|&(pe, _, _)| pe).max().unwrap_or(0);
+        let system = PimSystem::new(SystemConfig {
+            pes,
+            ..SystemConfig::default()
+        });
+        let heap = system.area_map().base(StorageArea::Heap);
+        let trace = ops
+            .iter()
+            .map(|&(pe, op, off)| Access::new(PeId(pe), op, heap + off, StorageArea::Heap))
+            .collect();
+        (system, trace)
+    }
+
+    #[test]
+    fn a_lock_held_by_a_finished_stream_is_a_stuck_replay() {
+        // PE0 locks a word and its stream ends; PE1 then blocks on that
+        // lock, and nothing left could ever release it.
+        let (system, trace) = heap_trace(&[
+            (0, MemOp::LockRead, 0),
+            (1, MemOp::Read, 0x10),
+            (1, MemOp::Read, 0x20),
+            (1, MemOp::LockRead, 0),
+            (1, MemOp::Unlock, 0),
+        ]);
+        let mut replayer = crate::Replayer::from_merged(&trace, 2);
+        let mut engine = Engine::new(system, 2);
+        let err = engine.run(&mut replayer, u64::MAX).unwrap_err();
+        assert_eq!(err, SimError::ReplayStuck { pes: vec![PeId(1)] });
+    }
+
+    #[test]
+    fn a_blocked_pe_beside_an_idle_one_is_not_stuck_while_the_holder_runs() {
+        // PE2 finishes its one access early and idles while PE1 waits
+        // on PE0's lock; PE0 is still working and releases it.
+        let (system, trace) = heap_trace(&[
+            (0, MemOp::LockRead, 0),
+            (0, MemOp::Read, 0x10),
+            (0, MemOp::Read, 0x20),
+            (0, MemOp::Read, 0x30),
+            (0, MemOp::Unlock, 0),
+            (1, MemOp::LockRead, 0),
+            (1, MemOp::Unlock, 0),
+            (2, MemOp::Read, 0x40),
+        ]);
+        let mut replayer = crate::Replayer::from_merged(&trace, 3);
+        let mut engine = Engine::new(system, 3);
+        let stats = engine.run(&mut replayer, u64::MAX).unwrap();
+        assert!(stats.finished);
+        assert!(
+            engine.system().lock_stats().lr_refused > 0,
+            "PE1 must block"
         );
     }
 

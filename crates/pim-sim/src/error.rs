@@ -1,4 +1,4 @@
-//! Structured simulation errors: every recoverable failure the engines
+//! Structured simulation errors: every recoverable failure the engine
 //! can hit — deadlock, protocol misuse, watchdog expiry, a stuck replay
 //! — is reported as a [`SimError`] instead of a panic, so callers can
 //! print a diagnostic and exit cleanly.
@@ -46,11 +46,13 @@ pub enum SimError {
         /// The configured budget.
         budget: u64,
     },
-    /// The parallel engine's replay of a speculated lane made no
-    /// progress — the speculation and its replay disagree, which means
-    /// the process is not deterministic under re-execution.
+    /// No PE can make progress, though none is deadlocked: the listed
+    /// PEs are blocked on a lock, and every other PE's latest step was
+    /// an idle step that issued no memory operation. The lock holder
+    /// will never release it — typically a replayed stream that ends
+    /// while still holding a lock.
     ReplayStuck {
-        /// The PEs whose lanes were stuck.
+        /// The blocked PEs.
         pes: Vec<PeId>,
     },
     /// The host-side wall-clock deadline (`--timeout SECS`) expired
@@ -96,14 +98,18 @@ impl std::fmt::Display for SimError {
                 )
             }
             SimError::ReplayStuck { pes } => {
-                write!(f, "speculative replay stuck on ")?;
+                write!(f, "replay stuck: ")?;
                 for (i, pe) in pes.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
                     write!(f, "{pe}")?;
                 }
-                Ok(())
+                write!(
+                    f,
+                    " blocked on a lock that no running PE will release \
+                     (every other PE idles without touching memory)"
+                )
             }
             SimError::WallClockExpired {
                 budget_secs,
@@ -152,7 +158,11 @@ mod tests {
         let e = SimError::ReplayStuck {
             pes: vec![PeId(0), PeId(1)],
         };
-        assert_eq!(e.to_string(), "speculative replay stuck on PE0, PE1");
+        assert_eq!(
+            e.to_string(),
+            "replay stuck: PE0, PE1 blocked on a lock that no running PE will release \
+             (every other PE idles without touching memory)"
+        );
         let e = SimError::WallClockExpired {
             budget_secs: 30,
             cycle: 12345,

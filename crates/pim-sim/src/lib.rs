@@ -24,13 +24,11 @@
 pub mod engine;
 pub mod error;
 pub mod illinois;
-pub mod parallel;
 pub mod replay;
 pub mod system;
 
 pub use engine::{Engine, Process, RunStats, StepOutcome};
 pub use error::SimError;
 pub use illinois::IllinoisSystem;
-pub use parallel::{ParallelEngine, ProcessShard, ShardableProcess};
-pub use replay::{ReplayShard, Replayer};
-pub use system::{MemorySystem, ShardedSystem, SystemShard};
+pub use replay::Replayer;
+pub use system::MemorySystem;

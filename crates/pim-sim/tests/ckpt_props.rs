@@ -1,17 +1,16 @@
 //! Property tests pinning checkpoint/restore invisible: pausing a run
-//! at a random cycle budget, serializing engine + replayer through
-//! `pim-ckpt`, and restoring into freshly built objects — possibly with
-//! a different worker thread count — must finish bit-identical to the
-//! uninterrupted run.
+//! at a random step budget, serializing engine + replayer through
+//! `pim-ckpt`, and restoring into freshly built objects must finish
+//! bit-identical to the uninterrupted run.
 
 use pim_cache::{PimSystem, SystemConfig};
-use pim_sim::{ParallelEngine, Replayer};
+use pim_sim::{Engine, Replayer};
 use pim_trace::{Access, AreaMap, MemOp, PeId, StorageArea};
 use proptest::prelude::*;
 
-/// Builds a lock-disciplined trace (same discipline as
-/// `parallel_props`): a PE holds at most one lock at a time and releases
-/// everything before its stream ends, so replays always terminate.
+/// Builds a lock-disciplined trace (same discipline as `fault_props`):
+/// a PE holds at most one lock at a time and releases everything before
+/// its stream ends, so replays always terminate.
 fn disciplined_trace(pes: u32, items: Vec<(u32, u8, u64)>) -> Vec<Access> {
     let map = AreaMap::standard();
     let heap = map.base(StorageArea::Heap);
@@ -56,16 +55,14 @@ fn disciplined_trace(pes: u32, items: Vec<(u32, u8, u64)>) -> Vec<Access> {
     streams.concat()
 }
 
-fn build(pes: u32, threads: usize) -> ParallelEngine<PimSystem> {
-    let mut engine = ParallelEngine::new(
+fn build(pes: u32) -> Engine<PimSystem> {
+    Engine::new(
         PimSystem::new(SystemConfig {
             pes,
             ..SystemConfig::default()
         }),
         pes,
-    );
-    engine.set_threads(threads);
-    engine
+    )
 }
 
 fn fingerprint(sys: &PimSystem) -> String {
@@ -81,22 +78,21 @@ fn fingerprint(sys: &PimSystem) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Checkpoint at a random committed-step budget, restore into a
-    /// fresh engine with a random thread count, finish: stats and
-    /// system fingerprint must match the uninterrupted run exactly.
+    /// Checkpoint at a random step budget, restore into a fresh engine
+    /// and replayer, finish: stats and system fingerprint must match
+    /// the uninterrupted run exactly.
     #[test]
-    fn checkpoint_at_random_cycle_is_invisible(
+    fn checkpoint_at_random_step_is_invisible(
         pes in 2u32..7,
         items in proptest::collection::vec((0u32..8, 0u8..13, 0u64..128), 1..220),
         pause in 1u64..1500,
-        resume_threads in 1usize..5,
     ) {
         let items: Vec<(u32, u8, u64)> =
             items.into_iter().map(|(pe, k, w)| (pe % pes, k, w)).collect();
         let trace = disciplined_trace(pes, items);
 
         // Uninterrupted reference.
-        let mut reference = build(pes, 2);
+        let mut reference = build(pes);
         let mut ref_replayer = Replayer::from_merged(&trace, pes);
         let ref_stats = reference
             .run(&mut ref_replayer, 10_000_000)
@@ -105,7 +101,7 @@ proptest! {
         let ref_fp = fingerprint(reference.system());
 
         // Run to the random pause point and serialize.
-        let mut paused = build(pes, 2);
+        let mut paused = build(pes);
         let mut paused_replayer = Replayer::from_merged(&trace, pes);
         let mid = paused
             .run(&mut paused_replayer, pause)
@@ -119,8 +115,8 @@ proptest! {
         w.section("process", |w| paused_replayer.save_ckpt(w));
         let payload = w.payload().to_vec();
 
-        // Restore into fresh objects (different thread count) and finish.
-        let mut resumed = build(pes, resume_threads);
+        // Restore into fresh objects and finish.
+        let mut resumed = build(pes);
         let mut resumed_replayer = Replayer::from_merged(&trace, pes);
         let mut r = pim_ckpt::Reader::new(&payload);
         r.section("engine", |r| resumed.restore_ckpt(r))
@@ -132,6 +128,7 @@ proptest! {
             .run(&mut resumed_replayer, 10_000_000)
             .expect("fault-free run");
         prop_assert!(end.finished);
+        prop_assert_eq!(mid.steps + end.steps, ref_stats.steps);
         prop_assert_eq!(&end.pe_clocks, &ref_stats.pe_clocks);
         prop_assert_eq!(&end.pe_cycles, &ref_stats.pe_cycles);
         prop_assert_eq!(end.makespan, ref_stats.makespan);

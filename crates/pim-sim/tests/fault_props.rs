@@ -1,20 +1,22 @@
 //! Fault-injection property tests: fuzzed fault plans over
 //! lock-disciplined traces must always recover, preserve coherence
-//! invariants, agree bit-for-bit across thread counts, and account
-//! every injected fault in both the engine counters and the
+//! invariants and the per-PE cycle accounts, reproduce bit-for-bit, and
+//! account every injected fault in both the engine counters and the
 //! observability layer. Plus directed tests for the deadlock detector
 //! and the livelock watchdog.
 
 use pim_cache::{PimSystem, SystemConfig};
 use pim_fault::{FaultConfig, FaultPlan, FaultStats};
 use pim_obs::SharedMetrics;
-use pim_sim::{Engine, ParallelEngine, Replayer, RunStats, SimError};
+use pim_sim::{Engine, Replayer, RunStats, SimError};
 use pim_trace::{Access, AreaMap, MemOp, PeId, StorageArea};
 use proptest::prelude::*;
 
 /// Builds a lock-disciplined trace (no hold-and-wait, every lock
-/// released), mirroring `parallel_props.rs`: replays always terminate,
-/// so any hang or invariant break is the fault machinery's doing.
+/// released): replays always terminate, so any hang or invariant break
+/// is the fault machinery's doing. Data words live in blocks 1+ and
+/// lock words in block 0, so a lock holder is never refused (lock
+/// refusals are block-granular) and never blocks.
 fn disciplined_trace(pes: u32, items: Vec<(u32, u8, u64)>) -> Vec<Access> {
     let map = AreaMap::standard();
     let heap = map.base(StorageArea::Heap);
@@ -76,7 +78,7 @@ struct FaultyRun {
     metrics: pim_obs::Metrics,
 }
 
-fn run_sequential(trace: &[Access], pes: u32, fc: &FaultConfig) -> FaultyRun {
+fn replay_with_faults(trace: &[Access], pes: u32, fc: &FaultConfig) -> FaultyRun {
     let shared = SharedMetrics::new();
     let mut replayer = Replayer::from_merged(trace, pes);
     let mut engine = Engine::new(
@@ -103,33 +105,20 @@ fn run_sequential(trace: &[Access], pes: u32, fc: &FaultConfig) -> FaultyRun {
     }
 }
 
-fn run_parallel(trace: &[Access], pes: u32, threads: usize, fc: &FaultConfig) -> FaultyRun {
-    let shared = SharedMetrics::new();
-    let mut replayer = Replayer::from_merged(trace, pes);
-    let mut engine = ParallelEngine::new(
-        PimSystem::new(SystemConfig {
-            pes,
-            ..SystemConfig::default()
-        }),
-        pes,
-    );
-    engine.set_threads(threads);
-    engine.set_observer(shared.observer());
-    engine.set_fault_plan(FaultPlan::new(fc.clone()));
-    let stats = engine
-        .run(&mut replayer, 10_000_000)
-        .expect("faulty replay must still complete");
-    assert_eq!(replayer.remaining(), 0, "parallel run left stream residue");
-    engine
-        .system()
-        .check_coherence_invariants()
-        .expect("coherence invariants must survive fault injection");
-    FaultyRun {
-        stats,
-        fp: fingerprint(engine.system()),
-        faults: engine.fault_stats().clone(),
-        metrics: shared.take(),
+/// Every PE's cycle account must decompose its clock exactly.
+fn assert_accounts_sum(stats: &RunStats) {
+    for (pe, (cycles, &clock)) in stats.pe_cycles.iter().zip(&stats.pe_clocks).enumerate() {
+        assert_eq!(
+            cycles.busy + cycles.bus_wait + cycles.lock_wait + cycles.idle,
+            clock,
+            "PE{pe} cycle account does not sum to its clock"
+        );
     }
+    assert_eq!(
+        stats.makespan,
+        stats.pe_clocks.iter().copied().max().unwrap_or(0),
+        "makespan must be the maximum PE clock"
+    );
 }
 
 /// Every injected fault must be recovered, and the observability layer
@@ -161,8 +150,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(110))]
 
     /// ≥100 fuzzed fault plans: random seed and rate, random trace.
-    /// The run must finish, recover every fault, keep the coherence
-    /// invariants, and stay bit-identical at every thread count.
+    /// The run must finish, recover every fault, and keep the coherence
+    /// invariants and the cycle accounts.
     #[test]
     fn fuzzed_fault_plans_always_recover(
         seed in 0u64..u64::MAX,
@@ -175,26 +164,20 @@ proptest! {
         let trace = disciplined_trace(pes, items);
         let fc = FaultConfig::new(seed, rate_ppm);
 
-        let seq = run_sequential(&trace, pes, &fc);
-        prop_assert!(seq.stats.finished, "sequential faulty replay must terminate");
-        assert_accounted(&seq);
+        let run = replay_with_faults(&trace, pes, &fc);
+        prop_assert!(run.stats.finished, "faulty replay must terminate");
+        assert_accounted(&run);
+        assert_accounts_sum(&run.stats);
 
         // Rate 0 is exactly the fault-free engine. No tighter makespan
         // bound holds in general: a fault delay can reorder lock
         // acquisitions, and the second-order scheduling shift is not
         // covered by the direct penalty accounting.
-        let clean = run_sequential(&trace, pes, &FaultConfig::new(seed, 0));
+        let clean = replay_with_faults(&trace, pes, &FaultConfig::new(seed, 0));
         prop_assert_eq!(clean.faults.total_injected(), 0);
-        if seq.faults.total_injected() == 0 {
-            prop_assert_eq!(&seq.stats, &clean.stats);
-        }
-
-        for threads in [1usize, 2, 4] {
-            let par = run_parallel(&trace, pes, threads, &fc);
-            prop_assert_eq!(&par.stats, &seq.stats, "stats diverged at {} threads", threads);
-            prop_assert_eq!(&par.fp, &seq.fp, "system state diverged at {} threads", threads);
-            prop_assert_eq!(&par.faults, &seq.faults, "fault schedule diverged at {} threads", threads);
-            assert_accounted(&par);
+        assert_accounts_sum(&clean.stats);
+        if run.faults.total_injected() == 0 {
+            prop_assert_eq!(&run.stats, &clean.stats);
         }
     }
 
@@ -208,8 +191,8 @@ proptest! {
     ) {
         let trace = disciplined_trace(4, items);
         let fc = FaultConfig::new(seed, 25_000);
-        let a = run_sequential(&trace, 4, &fc);
-        let b = run_sequential(&trace, 4, &fc);
+        let a = replay_with_faults(&trace, 4, &fc);
+        let b = replay_with_faults(&trace, 4, &fc);
         prop_assert_eq!(&a.stats, &b.stats);
         prop_assert_eq!(&a.faults, &b.faults);
         prop_assert_eq!(&a.fp, &b.fp);
@@ -217,7 +200,7 @@ proptest! {
 }
 
 /// Two PEs that each lock a word and then request the other's word
-/// form a wait-for cycle; both engines must report it as a structured
+/// form a wait-for cycle; the engine must report it as a structured
 /// deadlock naming the participants instead of spinning forever.
 #[test]
 fn cross_locks_are_reported_as_deadlock() {
@@ -247,29 +230,6 @@ fn cross_locks_are_reported_as_deadlock() {
         panic!("expected Deadlock, got {err:?}");
     };
     assert_eq!(cycle.as_slice(), &[PeId(0), PeId(1)]);
-
-    for threads in [1usize, 2] {
-        let mut replayer = Replayer::from_merged(&trace, pes);
-        let mut engine = ParallelEngine::new(
-            PimSystem::new(SystemConfig {
-                pes,
-                ..SystemConfig::default()
-            }),
-            pes,
-        );
-        engine.set_threads(threads);
-        let err = engine
-            .run(&mut replayer, 10_000_000)
-            .expect_err("cross-locks must deadlock in the parallel engine");
-        let SimError::Deadlock { cycle, .. } = &err else {
-            panic!("expected Deadlock at {threads} threads, got {err:?}");
-        };
-        assert_eq!(
-            cycle.as_slice(),
-            &[PeId(0), PeId(1)],
-            "at {threads} threads"
-        );
-    }
 }
 
 /// The watchdog bounds simulated time: a run that would take longer
@@ -320,62 +280,17 @@ fn watchdog_bounds_simulated_cycles() {
         "clock {clock} vs budget {budget}"
     );
 
-    // A generous budget never fires, with or without faults.
-    for engine_threads in [None, Some(1), Some(4)] {
-        let mut replayer = Replayer::from_merged(&trace, 4);
-        let run = match engine_threads {
-            None => {
-                let mut engine = Engine::new(
-                    PimSystem::new(SystemConfig {
-                        pes: 4,
-                        ..SystemConfig::default()
-                    }),
-                    4,
-                );
-                engine.set_watchdog(honest * 4);
-                engine.set_fault_plan(FaultPlan::new(FaultConfig::new(7, 10_000)));
-                engine.run(&mut replayer, 10_000_000)
-            }
-            Some(t) => {
-                let mut engine = ParallelEngine::new(
-                    PimSystem::new(SystemConfig {
-                        pes: 4,
-                        ..SystemConfig::default()
-                    }),
-                    4,
-                );
-                engine.set_threads(t);
-                engine.set_watchdog(honest * 4);
-                engine.set_fault_plan(FaultPlan::new(FaultConfig::new(7, 10_000)));
-                engine.run(&mut replayer, 10_000_000)
-            }
-        };
-        assert!(run.expect("generous watchdog never fires").finished);
-    }
-}
-
-/// The parallel engine's watchdog fires too (same structured error).
-#[test]
-fn parallel_watchdog_fires() {
-    let items = (0..400)
-        .map(|i| (i % 4, (i % 13) as u8, i as u64))
-        .collect();
-    let trace = disciplined_trace(4, items);
+    // A generous budget never fires, even with faults.
     let mut replayer = Replayer::from_merged(&trace, 4);
-    let mut engine = ParallelEngine::new(
+    let mut engine = Engine::new(
         PimSystem::new(SystemConfig {
             pes: 4,
             ..SystemConfig::default()
         }),
         4,
     );
-    engine.set_threads(2);
-    engine.set_watchdog(10);
-    let err = engine
-        .run(&mut replayer, 10_000_000)
-        .expect_err("watchdog must fire");
-    assert!(
-        matches!(err, SimError::WatchdogExpired { budget: 10, .. }),
-        "{err:?}"
-    );
+    engine.set_watchdog(honest * 4);
+    engine.set_fault_plan(FaultPlan::new(FaultConfig::new(7, 10_000)));
+    let run = engine.run(&mut replayer, 10_000_000);
+    assert!(run.expect("generous watchdog never fires").finished);
 }

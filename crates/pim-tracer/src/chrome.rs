@@ -8,9 +8,8 @@
 //!
 //! The file is **byte-deterministic**: every event renders to one
 //! compact JSON line and the lines are sorted by
-//! `(ts, tid, phase rank, text)`, so the arrival order of the events —
-//! which differs between the sequential and the parallel engine — never
-//! reaches the output. Phase rank puts `M` metadata first and `E`
+//! `(ts, tid, phase rank, text)`, so the arrival order of the events
+//! never reaches the output. Phase rank puts `M` metadata first and `E`
 //! before `B` so that back-to-back bus holds stay balanced at equal
 //! timestamps.
 

@@ -5,9 +5,10 @@
 //! derived **total order** — `(ts, pe, kind)` — and the ring keeps the
 //! `cap` *smallest* events under that order rather than the most
 //! recently arrived ones. This makes the retained set a pure function
-//! of the emitted multiset: the parallel engine may deliver events in a
-//! different arrival order than the sequential engine, but both retain
-//! (and later export) byte-identical traces.
+//! of the emitted multiset. Events do not arrive in timestamp order (a
+//! bus span or a lock wait is reported when it ends but stamped with
+//! the cycle it began), yet any arrival order of the same events
+//! retains (and later exports) a byte-identical trace.
 //!
 //! Overflow is never silent: [`TraceBuffer::emitted`] counts every event
 //! offered and [`TraceBuffer::dropped`] is always `emitted - recorded`.

@@ -1,12 +1,11 @@
-//! Cross-engine trace determinism and ring drop-accounting.
+//! Trace determinism and ring drop-accounting.
 //!
 //! The contract under test: a trace file is a pure function of the
-//! simulated run — the sequential engine and the parallel engine at any
-//! thread count export byte-identical bytes — and the ring never drops
-//! events silently.
+//! simulated run — its bytes are pinned by digest, capped or not — and
+//! the ring never drops events silently.
 
 use pim_cache::{PimSystem, SystemConfig};
-use pim_sim::{Engine, ParallelEngine, Replayer};
+use pim_sim::{Engine, Replayer};
 use pim_trace::{Access, AreaMap, MemOp, PeId, StorageArea};
 use pim_tracer::{
     critical_path, export_chrome, Event, EventKind, SharedTracer, Trace, TraceBuffer, TraceMeta,
@@ -61,7 +60,7 @@ fn workload() -> Vec<Access> {
 }
 
 /// Replays the workload with a tracer attached and exports the trace.
-fn run_traced(threads: usize, cap: usize) -> (String, u64) {
+fn run_traced(cap: usize) -> (String, u64) {
     let trace = workload();
     let config = SystemConfig {
         pes: PES,
@@ -71,16 +70,9 @@ fn run_traced(threads: usize, cap: usize) -> (String, u64) {
     let mut replayer = Replayer::from_merged(&trace, PES);
     let mut system = PimSystem::new(config);
     system.set_observer(tracer.observer());
-    let makespan = if threads == 1 {
-        let mut engine = Engine::new(system, PES);
-        engine.set_observer(tracer.observer());
-        engine.run(&mut replayer, u64::MAX).expect("run").makespan
-    } else {
-        let mut engine = ParallelEngine::new(system, PES);
-        engine.set_threads(threads);
-        engine.set_observer(tracer.observer());
-        engine.run(&mut replayer, u64::MAX).expect("run").makespan
-    };
+    let mut engine = Engine::new(system, PES);
+    engine.set_observer(tracer.observer());
+    let makespan = engine.run(&mut replayer, u64::MAX).expect("run").makespan;
     let (emitted, recorded, dropped) = (tracer.emitted(), tracer.recorded(), tracer.dropped());
     let events = tracer.take_sorted();
     let text = export_chrome(
@@ -96,23 +88,24 @@ fn run_traced(threads: usize, cap: usize) -> (String, u64) {
     (text, makespan)
 }
 
+/// FNV-1a digests of the exported trace bytes.
+const FULL_TRACE_DIGEST: u64 = 0x6170_92d0_eb20_5ee5;
+const CAPPED_TRACE_DIGEST: u64 = 0xfc30_bf63_402b_5dbc;
+
 #[test]
-fn traces_are_byte_identical_across_thread_counts() {
-    let (seq, _) = run_traced(1, 1 << 16);
-    for threads in [2, 4] {
-        let (par, _) = run_traced(threads, 1 << 16);
-        assert_eq!(seq, par, "trace bytes differ at --threads {threads}");
-    }
+fn trace_bytes_are_pinned() {
+    let (text, _) = run_traced(1 << 16);
+    assert_eq!(pim_ckpt::fnv1a64(text.as_bytes()), FULL_TRACE_DIGEST);
+    assert_eq!(run_traced(1 << 16).0, text, "run-to-run trace bytes differ");
 }
 
 #[test]
 fn capped_traces_are_still_byte_identical() {
     // Under drop pressure the retained subset is order-dependent unless
     // the ring evicts by the total event order; this pins that it does.
-    let (seq, _) = run_traced(1, 100);
-    let (par, _) = run_traced(4, 100);
-    assert_eq!(seq, par);
-    let trace = Trace::parse(&seq).expect("parse");
+    let (text, _) = run_traced(100);
+    assert_eq!(pim_ckpt::fnv1a64(text.as_bytes()), CAPPED_TRACE_DIGEST);
+    let trace = Trace::parse(&text).expect("parse");
     assert_eq!(trace.recorded, 100);
     assert_eq!(trace.dropped, trace.emitted - trace.recorded);
     assert!(
@@ -123,7 +116,7 @@ fn capped_traces_are_still_byte_identical() {
 
 #[test]
 fn exported_trace_is_schema_valid() {
-    let (text, makespan) = run_traced(1, 1 << 16);
+    let (text, makespan) = run_traced(1 << 16);
     // Trace::parse already rejects events missing ph/ts/pid/tid.
     let trace = Trace::parse(&text).expect("schema-valid trace_event JSON");
     assert_eq!(trace.makespan, makespan);
@@ -149,7 +142,7 @@ fn exported_trace_is_schema_valid() {
 
 #[test]
 fn critical_path_segments_sum_to_the_makespan() {
-    let (text, makespan) = run_traced(1, 1 << 16);
+    let (text, makespan) = run_traced(1 << 16);
     let trace = Trace::parse(&text).expect("parse");
     let segments = critical_path(&trace);
     let total: u64 = segments.iter().map(|s| s.cycles()).sum();

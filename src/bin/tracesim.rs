@@ -14,14 +14,10 @@
 //!   --bus-width W    bus width in words (default 1)
 //!   --gen NAME       ignore the file; generate a built-in synthetic trace
 //!                    (producer-consumer | heap-mix | lock-churn | aurora)
-//!   --threads N      worker threads for the PIM replay (default: available
-//!                    parallelism; 1 selects the sequential engine). Results
-//!                    are bit-identical at every thread count. The Illinois
-//!                    baseline always replays sequentially.
 //!   --faults SPEC    inject deterministic faults, e.g. `seed=7,rate=0.01`
 //!                    (also `rate_ppm=N`, `retries=N`). Every injected
-//!                    fault is recovered; the same seed produces the same
-//!                    fault schedule at every thread count.
+//!                    fault is recovered; the same seed always produces
+//!                    the same fault schedule.
 //!   --timeout SECS   wall-clock deadline on the replay: a pathological
 //!                    trace stops with a structured wall-clock-expired
 //!                    diagnostic (simulated cycle and step count reached)
@@ -29,8 +25,8 @@
 //!                    --checkpoint, a final snapshot is drained first so
 //!                    the run can be resumed with a larger budget.
 //!   --perf           profile the simulator itself: per-phase wall-time
-//!                    breakdown (trace parse, engine run, epoch barrier,
-//!                    coordinator replay, report write) on stderr, plus
+//!                    breakdown (trace parse, engine run, checkpoint,
+//!                    report write) on stderr, plus
 //!                    a `host_perf` block (host/commit provenance and
 //!                    the same breakdown) in the --report JSON. Without
 //!                    --perf the report bytes are unchanged. Build with
@@ -46,8 +42,7 @@
 //!                    Chrome trace_event JSON, loadable in Perfetto and
 //!                    analyzable with `pimtrace`. The ring keeps at most
 //!                    N events (default 2^20); drops are counted in the
-//!                    file, never silent. Byte-identical at every
-//!                    --threads setting.
+//!                    file, never silent. Byte-identical from run to run.
 //!   --checkpoint FILE[:every=N]
 //!                    write crash-safe `pim-ckpt/v1` snapshots of the
 //!                    whole simulator state to FILE: every N committed
@@ -56,8 +51,8 @@
 //!                    exits 130). Snapshot writes are atomic; a crash
 //!                    mid-write leaves the previous snapshot intact.
 //!   --resume FILE    restore a `--checkpoint` snapshot and continue.
-//!                    The remaining flags (except --threads, --checkpoint
-//!                    and --resume) and the trace must match the
+//!                    The remaining flags (except --checkpoint and
+//!                    --resume) and the trace must match the
 //!                    checkpointed run; the resumed run's report and
 //!                    trace file are byte-identical to an uninterrupted
 //!                    run's (modulo the report's `checkpoint` block).
@@ -82,7 +77,10 @@
 //! ```
 //!
 //! Trace lines are `PE OP ADDR AREA`, e.g. `0 DW 0x11000000 goal` — see
-//! `pim_trace::textio`. Use `--gen` to try the tool without a file:
+//! `pim_trace::textio`. A trace whose streams leave a PE blocked on a
+//! lock that no remaining access releases fails with a named
+//! `replay stuck` diagnostic (exit 1). Use `--gen` to try the tool
+//! without a file:
 //!
 //! ```sh
 //! tracesim --gen aurora --pes 8
@@ -93,13 +91,13 @@ use pim_cache::{CacheGeometry, OptMask, PimSystem, SystemConfig};
 use pim_fault::{FaultConfig, FaultPlan, FaultStats};
 use pim_obs::{Fanout, Json, Observer, SharedMetrics};
 use pim_repro::report;
-use pim_sim::{Engine, IllinoisSystem, MemorySystem, ParallelEngine, Replayer, RunStats};
+use pim_sim::{Engine, IllinoisSystem, MemorySystem, Process, Replayer, RunStats};
 use pim_trace::{Access, StorageArea};
 use pim_tracer::SharedTracer;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: tracesim [--pes N] [--threads N] [--illinois] [--no-opt] \
+        "usage: tracesim [--pes N] [--illinois] [--no-opt] \
          [--block W] [--capacity W] [--ways N] [--bus-width W] \
          [--faults SPEC] [--timeout SECS] [--perf] [--report FILE] \
          [--trace FILE[:cap=N]] [--checkpoint FILE[:every=N]] [--resume FILE] \
@@ -111,7 +109,7 @@ fn usage() -> ! {
 }
 
 /// Unwraps a finished run or exits 1 with the engine's diagnostic
-/// (deadlock cycle, protocol misuse, watchdog expiry).
+/// (deadlock cycle, protocol misuse, watchdog expiry, stuck replay).
 fn check_run(run: Result<RunStats, pim_sim::SimError>) -> RunStats {
     match run {
         Ok(stats) => stats,
@@ -132,7 +130,6 @@ fn main() {
     let mut capacity = 4096u64;
     let mut ways = 4u64;
     let mut bus_width = 1u64;
-    let mut threads: Option<usize> = None;
     let mut generator: Option<String> = None;
     let mut report_path: Option<String> = None;
     let mut trace_spec: Option<String> = None;
@@ -166,7 +163,6 @@ fn main() {
             "--capacity" => capacity = next_u64("capacity"),
             "--ways" => ways = next_u64("ways"),
             "--bus-width" => bus_width = next_u64("bus-width"),
-            "--threads" => threads = Some(next_u64("threads") as usize),
             "--timeout" => timeout_secs = Some(next_u64("timeout")),
             "--gen" => generator = Some(args.next().unwrap_or_else(|| usage())),
             "--faults" => {
@@ -259,14 +255,6 @@ fn main() {
     if perf {
         pim_perf::enable();
     }
-    let threads = match threads {
-        Some(0) => {
-            eprintln!("tracesim: --threads must be at least 1");
-            std::process::exit(2);
-        }
-        Some(n) => n,
-        None => std::thread::available_parallelism().map_or(1, usize::from),
-    };
 
     // Validate checkpoint plumbing before the (possibly long) run: a bad
     // --checkpoint destination is a flag error (exit 2); a missing or
@@ -329,7 +317,7 @@ fn main() {
     let telemetry: Option<pim_telemetry::RunStatus> =
         (status_spec.is_some() || metrics_path.is_some()).then(|| {
             let t = pim_telemetry::RunStatus::new("tracesim");
-            t.set_workers(if illinois { 1 } else { threads as u64 });
+            t.set_workers(1);
             t.register_cell(&input_label);
             if let Some(spec) = &status_spec {
                 let parsed = pim_ckpt::spec::parse_file_spec("status", spec, &["every"])
@@ -388,9 +376,9 @@ fn main() {
         ..SystemConfig::default()
     };
 
-    // Pins the run configuration (flags + input trace, minus --threads
-    // and the checkpoint flags themselves) into every snapshot, so a
-    // resume under different conditions is refused instead of silently
+    // Pins the run configuration (flags + input trace, minus the
+    // checkpoint flags themselves) into every snapshot, so a resume
+    // under different conditions is refused instead of silently
     // diverging.
     let config_digest = {
         let mut bytes = Vec::with_capacity(trace.len() * 24 + 128);
@@ -415,12 +403,6 @@ fn main() {
         }
         pim_ckpt::fnv1a64(&bytes)
     };
-    // Checkpoint provenance for the report's `checkpoint` block. Cells,
-    // because the writer closures below capture them before the run
-    // mutates them.
-    let resumed_from_cycle: std::cell::Cell<Option<u64>> = std::cell::Cell::new(None);
-    let snapshots_written: std::cell::Cell<u64> = std::cell::Cell::new(0);
-    let sigint = checkpoint.as_ref().map(|_| pim_ckpt::install_sigint_flag());
 
     let shared = report_path.as_ref().map(|path| {
         // Validate the report destination now, so a bad path fails in
@@ -448,10 +430,129 @@ fn main() {
         (path, SharedTracer::with_capacity(cap))
     });
 
-    // One observer per component slot: metrics, tracer, or both fanned
-    // out. `None` keeps the zero-overhead un-observed path.
-    let make_observer = || -> Option<Box<dyn Observer>> {
-        match (&shared, &traced) {
+    let mut runner = Runner {
+        config_digest,
+        sigint: checkpoint.as_ref().map(|_| pim_ckpt::install_sigint_flag()),
+        checkpoint,
+        resume_payload,
+        // Wall-clock deadline for --timeout, armed before the engine
+        // starts driving and checked between run chunks.
+        deadline: timeout_secs
+            .map(|secs| std::time::Instant::now() + std::time::Duration::from_secs(secs)),
+        timeout_secs,
+        telemetry,
+        shared,
+        traced,
+        resumed_from_cycle: None,
+        snapshots_written: 0,
+    };
+
+    let mut replayer = Replayer::from_merged(&trace, pes);
+    if let Some(t) = &runner.telemetry {
+        t.cell_running(&input_label);
+    }
+    let (label, (run, fstats, system)) = if illinois {
+        let run = runner.replay(IllinoisSystem::new(config), &mut replayer, faults.as_ref());
+        ("Illinois", run)
+    } else {
+        let run = runner.replay(PimSystem::new(config), &mut replayer, faults.as_ref());
+        ("PIM", run)
+    };
+    let makespan = run.makespan;
+    runner.write_trace(makespan, pes);
+    if let (Some(path), Some(s)) = (&report_path, &runner.shared) {
+        let _perf = pim_perf::span(pim_perf::phase::REPORT_WRITE);
+        let mut doc = report::envelope("tracesim");
+        doc.push("protocol", Json::from(label));
+        doc.push(
+            "config",
+            Json::obj([
+                ("pes", Json::from(pes)),
+                ("capacity_words", Json::from(capacity)),
+                ("ways", Json::from(ways)),
+                ("block_words", Json::from(block)),
+                ("bus_width_words", Json::from(bus_width)),
+            ]),
+        );
+        doc.push(
+            "checkpoint",
+            report::checkpoint_json(runner.resumed_from_cycle, runner.snapshots_written),
+        );
+        if let Some(fc) = &faults {
+            doc.push(
+                "fault_plan",
+                Json::obj([
+                    ("seed", Json::from(fc.seed)),
+                    ("rate_ppm", Json::from(fc.rate_ppm)),
+                    ("max_retries", Json::from(fc.max_retries)),
+                    ("injected", Json::from(fstats.total_injected())),
+                    ("recovered", Json::from(fstats.total_recovered())),
+                    ("retries", Json::from(fstats.retries)),
+                    ("penalty_cycles", Json::from(fstats.penalty_cycles)),
+                ]),
+            );
+        }
+        doc.push("accesses", Json::from(trace.len()));
+        doc.push("memory", report::memory_json(&*system, makespan));
+        report::push_instrumentation(&mut doc, &run.pe_cycles, &s.take());
+        if pim_perf::is_enabled() {
+            doc.push(
+                "host_perf",
+                report::host_perf_json(&pim_perf::snapshot(), &pim_perf::provenance()),
+            );
+        }
+        if let Err(e) = report::write_report(path, &doc) {
+            eprintln!("tracesim: cannot write {path}: {e}");
+            std::process::exit(1);
+        }
+    }
+    let report = summarize(&*system, makespan, trace.len(), &fstats);
+    if let Some(t) = &runner.telemetry {
+        t.cell_done(&input_label);
+        t.finish();
+    }
+    println!("protocol: {label}  ({pes} PEs, {capacity}w {ways}-way, {block}-word blocks, {bus_width}-word bus)");
+    print!("{report}");
+    // The throughput summary goes to stderr so stdout (which the
+    // determinism suites diff) stays byte-identical across hosts.
+    eprintln!(
+        "{}",
+        pim_perf::throughput_line(
+            "tracesim",
+            wall_start.elapsed(),
+            &[(trace.len() as u64, "accesses"), (makespan, "sim-cycles"),],
+        )
+    );
+    if pim_perf::is_enabled() {
+        eprint!("{}", pim_perf::take_report().render());
+    }
+    if let Some(line) = pim_ckpt::vfs::summary_line() {
+        eprintln!("{line}");
+    }
+}
+
+/// The run-wide state the replay shares with its checkpoint, telemetry
+/// and output paths, whichever protocol it simulates.
+struct Runner {
+    config_digest: u64,
+    checkpoint: Option<(String, Option<u64>)>,
+    resume_payload: Option<Vec<u8>>,
+    deadline: Option<std::time::Instant>,
+    timeout_secs: Option<u64>,
+    telemetry: Option<pim_telemetry::RunStatus>,
+    sigint: Option<&'static std::sync::atomic::AtomicBool>,
+    shared: Option<SharedMetrics>,
+    traced: Option<(String, SharedTracer)>,
+    // Checkpoint provenance for the report's `checkpoint` block.
+    resumed_from_cycle: Option<u64>,
+    snapshots_written: u64,
+}
+
+impl Runner {
+    /// One observer per component slot: metrics, tracer, or both fanned
+    /// out. `None` keeps the zero-overhead un-observed path.
+    fn observer(&self) -> Option<Box<dyn Observer>> {
+        match (&self.shared, &self.traced) {
             (Some(s), Some((_, t))) => Some(Box::new(Fanout::from_sinks(vec![
                 s.observer(),
                 t.observer(),
@@ -460,11 +561,196 @@ fn main() {
             (None, Some((_, t))) => Some(t.observer()),
             (None, None) => None,
         }
-    };
+    }
 
-    // Exports and writes the trace file; a no-op without `--trace`.
-    let write_trace = |makespan: u64, pes: u32| {
-        let Some((path, tracer)) = &traced else {
+    /// Replays `replayer` through `system` with the run's observers and
+    /// fault plan attached, returning the run's statistics, its fault
+    /// counters, and the system for reporting.
+    fn replay<S: MemorySystem + 'static>(
+        &mut self,
+        mut system: S,
+        replayer: &mut Replayer,
+        faults: Option<&FaultConfig>,
+    ) -> (RunStats, FaultStats, Box<dyn MemorySystem>) {
+        if let Some(obs) = self.observer() {
+            system.set_observer(obs);
+        }
+        let mut engine = Engine::new(system, replayer.pe_count());
+        if let Some(obs) = self.observer() {
+            engine.set_observer(obs);
+        }
+        if let Some(fc) = faults {
+            engine.set_fault_plan(FaultPlan::new(fc.clone()));
+        }
+        let run = self.drive(&mut engine, replayer);
+        let fstats = engine.fault_stats().clone();
+        (run, fstats, Box::new(engine.into_system()))
+    }
+
+    /// Runs the engine to completion. With --checkpoint, --timeout or
+    /// telemetry, runs in chunks: snapshots every `every` committed
+    /// steps (when given), polls SIGINT and the wall-clock deadline
+    /// between chunks, and on interrupt drains a final snapshot and
+    /// exits 130 (timeout: drains, then reports a structured
+    /// wall-clock-expired error at exit 1). Chunking is invisible in
+    /// the results: the engine composes across run() calls
+    /// bit-identically.
+    fn drive<S: MemorySystem>(
+        &mut self,
+        engine: &mut Engine<S>,
+        replayer: &mut Replayer,
+    ) -> RunStats {
+        self.resume(engine, replayer);
+        if self.checkpoint.is_none() && self.deadline.is_none() && self.telemetry.is_none() {
+            return check_run(engine.run(replayer, u64::MAX));
+        }
+        let path = self.checkpoint.as_ref().map(|(path, _)| path.clone());
+        let every = self.checkpoint.as_ref().and_then(|(_, every)| *every);
+        let chunk = every.unwrap_or(1 << 16);
+        loop {
+            let stats = check_run(engine.run(replayer, chunk));
+            if let Some(t) = &self.telemetry {
+                t.engine_chunk(stats.steps);
+            }
+            if stats.finished {
+                return stats;
+            }
+            let interrupted = self
+                .sigint
+                .is_some_and(|f| f.load(std::sync::atomic::Ordering::SeqCst));
+            let expired = self
+                .deadline
+                .is_some_and(|d| std::time::Instant::now() >= d);
+            if let Some(path) = &path {
+                if interrupted || expired || every.is_some() {
+                    self.snapshot(engine, replayer, stats.makespan);
+                }
+                if interrupted {
+                    eprintln!(
+                        "tracesim: interrupted: state drained to `{path}` at cycle {} \
+                         (continue with --resume {path})",
+                        stats.makespan
+                    );
+                    std::process::exit(130);
+                }
+                if expired {
+                    eprintln!(
+                        "tracesim: timeout: state drained to `{path}` at cycle {} \
+                         (continue with --resume {path})",
+                        stats.makespan
+                    );
+                }
+            } else if interrupted {
+                // No checkpoint configured: SIGINT falls back to the
+                // default die-on-interrupt behaviour.
+                std::process::exit(130);
+            }
+            if expired {
+                check_run(Err(pim_sim::SimError::WallClockExpired {
+                    budget_secs: self.timeout_secs.unwrap_or(0),
+                    cycle: stats.makespan,
+                    steps: stats.steps,
+                }));
+            }
+        }
+    }
+
+    /// Serializes one full snapshot (engine + system, process cursors,
+    /// metrics, tracer ring) and writes it atomically to the checkpoint
+    /// path; a no-op without `--checkpoint`.
+    fn snapshot<S: MemorySystem>(&mut self, engine: &Engine<S>, replayer: &Replayer, cycle: u64) {
+        let Some((path, _)) = &self.checkpoint else {
+            return;
+        };
+        let _perf = pim_perf::span(pim_perf::phase::CHECKPOINT);
+        self.snapshots_written += 1;
+        let mut w = pim_ckpt::Writer::new();
+        w.section("meta", |w| {
+            w.put_str("tracesim");
+            w.put_u64(self.config_digest);
+            w.put_u64(cycle);
+            w.put_u64(self.snapshots_written);
+        });
+        w.section("engine", |w| engine.save_ckpt(w));
+        w.section("process", |w| replayer.save_ckpt(w));
+        w.section("obs", |w| match &self.shared {
+            Some(s) => {
+                w.put_bool(true);
+                s.save_ckpt(w);
+            }
+            None => w.put_bool(false),
+        });
+        w.section("tracer", |w| match &self.traced {
+            Some((_, t)) => {
+                w.put_bool(true);
+                t.save_ckpt(w);
+            }
+            None => w.put_bool(false),
+        });
+        if let Err(e) = pim_ckpt::save_to_path(std::path::Path::new(path), w) {
+            eprintln!("tracesim: --checkpoint: {e}");
+            std::process::exit(1);
+        }
+    }
+
+    /// Restores `--resume` state into the freshly built engine and
+    /// replayer; a no-op without `--resume`. Every refusal names the
+    /// reason and exits 1.
+    fn resume<S: MemorySystem>(&mut self, engine: &mut Engine<S>, replayer: &mut Replayer) {
+        let Some(payload) = self.resume_payload.as_deref() else {
+            return;
+        };
+        let refused = |e: pim_ckpt::CkptError| -> ! {
+            eprintln!("tracesim: --resume: refused checkpoint: {e}");
+            std::process::exit(1)
+        };
+        let mut r = pim_ckpt::Reader::new(payload);
+        let (cycle, _snaps) = r
+            .section("meta", |r| {
+                let tool = r.get_str()?.to_string();
+                if tool != "tracesim" {
+                    return Err(pim_ckpt::CkptError::Mismatch {
+                        detail: format!("checkpoint was written by `{tool}`, not tracesim"),
+                    });
+                }
+                let digest = r.get_u64()?;
+                if digest != self.config_digest {
+                    return Err(pim_ckpt::CkptError::Mismatch {
+                        detail: "run configuration (flags or input trace) differs \
+                                 from the checkpointed run"
+                            .into(),
+                    });
+                }
+                Ok((r.get_u64()?, r.get_u64()?))
+            })
+            .unwrap_or_else(|e| refused(e));
+        r.section("engine", |r| engine.restore_ckpt(r))
+            .unwrap_or_else(|e| refused(e));
+        r.section("process", |r| replayer.restore_ckpt(r))
+            .unwrap_or_else(|e| refused(e));
+        r.section("obs", |r| match (&self.shared, r.get_bool()?) {
+            (Some(s), true) => s.restore_ckpt(r),
+            (None, false) => Ok(()),
+            _ => Err(pim_ckpt::CkptError::Mismatch {
+                detail: "--report presence differs from the checkpointed run".into(),
+            }),
+        })
+        .unwrap_or_else(|e| refused(e));
+        r.section("tracer", |r| match (&self.traced, r.get_bool()?) {
+            (Some((_, t)), true) => t.restore_ckpt(r),
+            (None, false) => Ok(()),
+            _ => Err(pim_ckpt::CkptError::Mismatch {
+                detail: "--trace presence differs from the checkpointed run".into(),
+            }),
+        })
+        .unwrap_or_else(|e| refused(e));
+        r.expect_end().unwrap_or_else(|e| refused(e));
+        self.resumed_from_cycle = Some(cycle);
+    }
+
+    /// Exports and writes the trace file; a no-op without `--trace`.
+    fn write_trace(&self, makespan: u64, pes: u32) {
+        let Some((path, tracer)) = &self.traced else {
             return;
         };
         let _perf = pim_perf::span(pim_perf::phase::REPORT_WRITE);
@@ -494,338 +780,6 @@ fn main() {
                  ({dropped} dropped; raise with --trace {path}:cap=N)"
             );
         }
-    };
-
-    // Builds and writes the JSON report; a no-op without `--report`.
-    let write_report = |label: &str,
-                        sys: &dyn MemorySystem,
-                        makespan: u64,
-                        pe_cycles: &[pim_obs::PeCycles],
-                        fstats: &FaultStats| {
-        let (Some(path), Some(s)) = (&report_path, &shared) else {
-            return;
-        };
-        let _perf = pim_perf::span(pim_perf::phase::REPORT_WRITE);
-        let mut doc = report::envelope("tracesim");
-        doc.push("protocol", Json::from(label));
-        doc.push(
-            "config",
-            Json::obj([
-                ("pes", Json::from(pes)),
-                ("capacity_words", Json::from(capacity)),
-                ("ways", Json::from(ways)),
-                ("block_words", Json::from(block)),
-                ("bus_width_words", Json::from(bus_width)),
-            ]),
-        );
-        doc.push(
-            "checkpoint",
-            report::checkpoint_json(resumed_from_cycle.get(), snapshots_written.get()),
-        );
-        if let Some(fc) = &faults {
-            doc.push(
-                "fault_plan",
-                Json::obj([
-                    ("seed", Json::from(fc.seed)),
-                    ("rate_ppm", Json::from(fc.rate_ppm)),
-                    ("max_retries", Json::from(fc.max_retries)),
-                    ("injected", Json::from(fstats.total_injected())),
-                    ("recovered", Json::from(fstats.total_recovered())),
-                    ("retries", Json::from(fstats.retries)),
-                    ("penalty_cycles", Json::from(fstats.penalty_cycles)),
-                ]),
-            );
-        }
-        doc.push("accesses", Json::from(trace.len()));
-        doc.push("memory", report::memory_json(sys, makespan));
-        report::push_instrumentation(&mut doc, pe_cycles, &s.take());
-        if pim_perf::is_enabled() {
-            doc.push(
-                "host_perf",
-                report::host_perf_json(&pim_perf::snapshot(), &pim_perf::provenance()),
-            );
-        }
-        if let Err(e) = report::write_report(path, &doc) {
-            eprintln!("tracesim: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-
-    // Serializes one full snapshot (engine + system, process cursors,
-    // metrics, tracer ring) and writes it atomically to the checkpoint
-    // path. A macro, not a function, because the two engine types share
-    // only inherent method names.
-    macro_rules! snapshot {
-        ($engine:expr, $replayer:expr, $path:expr, $cycle:expr) => {{
-            let _perf = pim_perf::span(pim_perf::phase::CHECKPOINT);
-            snapshots_written.set(snapshots_written.get() + 1);
-            let mut w = pim_ckpt::Writer::new();
-            w.section("meta", |w| {
-                w.put_str("tracesim");
-                w.put_u64(config_digest);
-                w.put_u64($cycle);
-                w.put_u64(snapshots_written.get());
-            });
-            w.section("engine", |w| $engine.save_ckpt(w));
-            w.section("process", |w| $replayer.save_ckpt(w));
-            w.section("obs", |w| match &shared {
-                Some(s) => {
-                    w.put_bool(true);
-                    s.save_ckpt(w);
-                }
-                None => w.put_bool(false),
-            });
-            w.section("tracer", |w| match &traced {
-                Some((_, t)) => {
-                    w.put_bool(true);
-                    t.save_ckpt(w);
-                }
-                None => w.put_bool(false),
-            });
-            if let Err(e) = pim_ckpt::save_to_path(std::path::Path::new($path), w) {
-                eprintln!("tracesim: --checkpoint: {e}");
-                std::process::exit(1);
-            }
-        }};
-    }
-
-    // Restores `--resume` state into the freshly built engine and
-    // replayer. Every refusal names the reason and exits 1.
-    macro_rules! resume_into {
-        ($engine:expr, $replayer:expr) => {
-            if let Some(payload) = resume_payload.as_deref() {
-                let refused = |e: pim_ckpt::CkptError| -> ! {
-                    eprintln!("tracesim: --resume: refused checkpoint: {e}");
-                    std::process::exit(1)
-                };
-                let mut r = pim_ckpt::Reader::new(payload);
-                let (cycle, _snaps) = r
-                    .section("meta", |r| {
-                        let tool = r.get_str()?.to_string();
-                        if tool != "tracesim" {
-                            return Err(pim_ckpt::CkptError::Mismatch {
-                                detail: format!("checkpoint was written by `{tool}`, not tracesim"),
-                            });
-                        }
-                        let digest = r.get_u64()?;
-                        if digest != config_digest {
-                            return Err(pim_ckpt::CkptError::Mismatch {
-                                detail: "run configuration (flags or input trace) differs \
-                                         from the checkpointed run"
-                                    .into(),
-                            });
-                        }
-                        Ok((r.get_u64()?, r.get_u64()?))
-                    })
-                    .unwrap_or_else(|e| refused(e));
-                r.section("engine", |r| $engine.restore_ckpt(r))
-                    .unwrap_or_else(|e| refused(e));
-                r.section("process", |r| $replayer.restore_ckpt(r))
-                    .unwrap_or_else(|e| refused(e));
-                r.section("obs", |r| match (&shared, r.get_bool()?) {
-                    (Some(s), true) => s.restore_ckpt(r),
-                    (None, false) => Ok(()),
-                    _ => Err(pim_ckpt::CkptError::Mismatch {
-                        detail: "--report presence differs from the checkpointed run".into(),
-                    }),
-                })
-                .unwrap_or_else(|e| refused(e));
-                r.section("tracer", |r| match (&traced, r.get_bool()?) {
-                    (Some((_, t)), true) => t.restore_ckpt(r),
-                    (None, false) => Ok(()),
-                    _ => Err(pim_ckpt::CkptError::Mismatch {
-                        detail: "--trace presence differs from the checkpointed run".into(),
-                    }),
-                })
-                .unwrap_or_else(|e| refused(e));
-                r.expect_end().unwrap_or_else(|e| refused(e));
-                resumed_from_cycle.set(Some(cycle));
-            }
-        };
-    }
-
-    // Wall-clock deadline for --timeout: armed when the engine starts
-    // driving, checked between run chunks.
-    let deadline =
-        timeout_secs.map(|secs| std::time::Instant::now() + std::time::Duration::from_secs(secs));
-
-    // Runs the engine to completion. With --checkpoint or --timeout,
-    // runs in chunks: snapshots every `every` committed steps (when
-    // given), polls SIGINT and the wall-clock deadline between chunks,
-    // and on interrupt drains a final snapshot and exits 130 (timeout:
-    // drains, then reports a structured wall-clock-expired error at
-    // exit 1). Chunking is invisible in the results: both engines
-    // compose across run() calls bit-identically.
-    macro_rules! drive {
-        ($engine:expr, $replayer:expr) => {{
-            resume_into!($engine, $replayer);
-            if checkpoint.is_none() && deadline.is_none() && telemetry.is_none() {
-                check_run($engine.run(&mut $replayer, u64::MAX))
-            } else {
-                let every = checkpoint.as_ref().and_then(|(_, e)| *e);
-                let chunk = every.unwrap_or(1 << 16);
-                loop {
-                    let stats = check_run($engine.run(&mut $replayer, chunk));
-                    if let Some(t) = &telemetry {
-                        t.engine_chunk(stats.steps);
-                    }
-                    if stats.finished {
-                        break stats;
-                    }
-                    let interrupted =
-                        sigint.is_some_and(|f| f.load(std::sync::atomic::Ordering::SeqCst));
-                    let expired = deadline.is_some_and(|d| std::time::Instant::now() >= d);
-                    if let Some((path, _)) = &checkpoint {
-                        if interrupted || expired || every.is_some() {
-                            snapshot!($engine, $replayer, path, stats.makespan);
-                        }
-                        if interrupted {
-                            eprintln!(
-                                "tracesim: interrupted: state drained to `{path}` at cycle {} \
-                                 (continue with --resume {path})",
-                                stats.makespan
-                            );
-                            std::process::exit(130);
-                        }
-                        if expired {
-                            eprintln!(
-                                "tracesim: timeout: state drained to `{path}` at cycle {} \
-                                 (continue with --resume {path})",
-                                stats.makespan
-                            );
-                        }
-                    } else if interrupted {
-                        // No checkpoint configured: SIGINT falls back to
-                        // the default die-on-interrupt behaviour.
-                        std::process::exit(130);
-                    }
-                    if expired {
-                        check_run(Err(pim_sim::SimError::WallClockExpired {
-                            budget_secs: timeout_secs.unwrap_or(0),
-                            cycle: stats.makespan,
-                            steps: stats.steps,
-                        }));
-                    }
-                }
-            }
-        }};
-    }
-
-    let mut replayer = Replayer::from_merged(&trace, pes);
-    if let Some(t) = &telemetry {
-        t.cell_running(&input_label);
-    }
-    let (label, report, makespan) = if illinois {
-        let mut system = IllinoisSystem::new(config);
-        if let Some(obs) = make_observer() {
-            system.set_observer(obs);
-        }
-        let mut engine = Engine::new(system, pes);
-        if let Some(obs) = make_observer() {
-            engine.set_observer(obs);
-        }
-        if let Some(fc) = &faults {
-            engine.set_fault_plan(FaultPlan::new(fc.clone()));
-        }
-        let run = drive!(engine, replayer);
-        let fstats = engine.fault_stats().clone();
-        write_trace(run.makespan, pes);
-        write_report(
-            "Illinois",
-            engine.system(),
-            run.makespan,
-            &run.pe_cycles,
-            &fstats,
-        );
-        (
-            "Illinois",
-            summarize(engine.system(), run.makespan, trace.len(), &fstats),
-            run.makespan,
-        )
-    } else if threads == 1 && checkpoint.is_none() && resume_payload.is_none() {
-        // Checkpointed runs always go through the parallel engine (below,
-        // bit-identical at every thread count including 1), so a snapshot
-        // written at any --threads value resumes at any other.
-        let mut system = PimSystem::new(config);
-        if let Some(obs) = make_observer() {
-            system.set_observer(obs);
-        }
-        let mut engine = Engine::new(system, pes);
-        if let Some(obs) = make_observer() {
-            engine.set_observer(obs);
-        }
-        if let Some(fc) = &faults {
-            engine.set_fault_plan(FaultPlan::new(fc.clone()));
-        }
-        let run = drive!(engine, replayer);
-        let fstats = engine.fault_stats().clone();
-        write_trace(run.makespan, pes);
-        write_report(
-            "PIM",
-            engine.system(),
-            run.makespan,
-            &run.pe_cycles,
-            &fstats,
-        );
-        (
-            "PIM",
-            summarize(engine.system(), run.makespan, trace.len(), &fstats),
-            run.makespan,
-        )
-    } else {
-        // The parallel engine is bit-identical to the sequential one at
-        // every thread count (tests/cross_system_props.rs pins this), so
-        // the reports are byte-for-byte the same either way — including
-        // the fault schedule, which is keyed on simulated cycles only.
-        let mut system = PimSystem::new(config);
-        if let Some(obs) = make_observer() {
-            system.set_observer(obs);
-        }
-        let mut engine = ParallelEngine::new(system, pes);
-        engine.set_threads(threads);
-        if let Some(obs) = make_observer() {
-            engine.set_observer(obs);
-        }
-        if let Some(fc) = &faults {
-            engine.set_fault_plan(FaultPlan::new(fc.clone()));
-        }
-        let run = drive!(engine, replayer);
-        let fstats = engine.fault_stats().clone();
-        write_trace(run.makespan, pes);
-        write_report(
-            "PIM",
-            engine.system(),
-            run.makespan,
-            &run.pe_cycles,
-            &fstats,
-        );
-        (
-            "PIM",
-            summarize(engine.system(), run.makespan, trace.len(), &fstats),
-            run.makespan,
-        )
-    };
-    if let Some(t) = &telemetry {
-        t.cell_done(&input_label);
-        t.finish();
-    }
-    println!("protocol: {label}  ({pes} PEs, {capacity}w {ways}-way, {block}-word blocks, {bus_width}-word bus)");
-    print!("{report}");
-    // The throughput summary goes to stderr so stdout (which the
-    // determinism suites diff) stays byte-identical across hosts.
-    eprintln!(
-        "{}",
-        pim_perf::throughput_line(
-            "tracesim",
-            wall_start.elapsed(),
-            &[(trace.len() as u64, "accesses"), (makespan, "sim-cycles"),],
-        )
-    );
-    if pim_perf::is_enabled() {
-        eprint!("{}", pim_perf::take_report().render());
-    }
-    if let Some(line) = pim_ckpt::vfs::summary_line() {
-        eprintln!("{line}");
     }
 }
 

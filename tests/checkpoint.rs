@@ -1,7 +1,7 @@
 //! End-to-end tests of `--checkpoint`/`--resume`: resuming from a
 //! mid-run checkpoint must be invisible in every output (traces
 //! byte-identical, reports identical modulo the `checkpoint` provenance
-//! block), at every thread count and under fault injection — and a
+//! block), wherever the run paused and under fault injection — and a
 //! corrupted checkpoint must be refused with a named diagnostic, never
 //! a panic.
 
@@ -65,11 +65,10 @@ fn assert_refused(out: &Output, what: &str) {
 }
 
 #[test]
-fn tracesim_resume_is_invisible_at_every_thread_count() {
-    let dir = tmpdir("threads");
+fn tracesim_resume_is_invisible_at_every_pause_point() {
+    let dir = tmpdir("pauses");
     let full_report = dir.join("full.json");
     let full_trace = dir.join("full.trace");
-    let ck = dir.join("mid.ck");
 
     let out = tracesim()
         .args(["--gen", "producer-consumer", "--pes", "2"])
@@ -79,25 +78,25 @@ fn tracesim_resume_is_invisible_at_every_thread_count() {
         .expect("tracesim runs");
     assert_ok(&out);
 
-    // The periodic snapshots leave `ck` holding the last mid-run state.
+    // Each cadence leaves `ck` holding a different last mid-run state.
     // Instrumentation presence is part of the resume contract, so the
     // checkpointed run carries the same --report/--trace flags.
-    let out = tracesim()
-        .args(["--gen", "producer-consumer", "--pes", "2"])
-        .args(["--report", dir.join("ck.json").to_str().unwrap()])
-        .args(["--trace", dir.join("ck.trace").to_str().unwrap()])
-        .args(["--checkpoint", &format!("{}:every=2000", ck.display())])
-        .output()
-        .expect("tracesim runs");
-    assert_ok(&out);
-    assert!(ck.exists(), "periodic checkpointing must leave a snapshot");
-
-    for threads in ["1", "2", "8"] {
-        let report = dir.join(format!("res{threads}.json"));
-        let trace = dir.join(format!("res{threads}.trace"));
+    for every in ["500", "2000", "3500"] {
+        let ck = dir.join(format!("mid{every}.ck"));
         let out = tracesim()
             .args(["--gen", "producer-consumer", "--pes", "2"])
-            .args(["--threads", threads])
+            .args(["--report", dir.join("ck.json").to_str().unwrap()])
+            .args(["--trace", dir.join("ck.trace").to_str().unwrap()])
+            .args(["--checkpoint", &format!("{}:every={every}", ck.display())])
+            .output()
+            .expect("tracesim runs");
+        assert_ok(&out);
+        assert!(ck.exists(), "periodic checkpointing must leave a snapshot");
+
+        let report = dir.join(format!("res{every}.json"));
+        let trace = dir.join(format!("res{every}.trace"));
+        let out = tracesim()
+            .args(["--gen", "producer-consumer", "--pes", "2"])
             .args(["--resume", ck.to_str().unwrap()])
             .args(["--report", report.to_str().unwrap()])
             .args(["--trace", trace.to_str().unwrap()])
@@ -107,12 +106,12 @@ fn tracesim_resume_is_invisible_at_every_thread_count() {
         assert_eq!(
             std::fs::read(&full_trace).unwrap(),
             std::fs::read(&trace).unwrap(),
-            "trace must be byte-identical after resume at {threads} threads"
+            "trace must be byte-identical after resume from every={every}"
         );
         assert_eq!(
             modulo_checkpoint(&read(&full_report)),
             modulo_checkpoint(&read(&report)),
-            "report must match modulo checkpoint block at {threads} threads"
+            "report must match modulo checkpoint block after resume from every={every}"
         );
         assert!(
             read(&report).contains("\"resumed_from_cycle\":"),
@@ -147,7 +146,7 @@ fn tracesim_resume_is_invisible_under_fault_injection() {
 
     let report = dir.join("res.json");
     let out = tracesim()
-        .args(["--gen", "producer-consumer", "--pes", "2", "--threads", "2"])
+        .args(["--gen", "producer-consumer", "--pes", "2"])
         .args(faults)
         .args(["--resume", ck.to_str().unwrap()])
         .args(["--report", report.to_str().unwrap()])

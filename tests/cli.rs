@@ -150,13 +150,16 @@ fn kl1run_rejects_zero_pes_with_named_flag() {
 
 #[test]
 fn kl1run_rejects_zero_threads_with_named_flag() {
-    let out = kl1run()
-        .args(["--threads", "0", "examples/fghc/hanoi.fghc"])
-        .output()
-        .expect("runs");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--threads"), "{stderr}");
+    // kl1run has no --threads: any value is an unknown flag.
+    for value in ["0", "2"] {
+        let out = kl1run()
+            .args(["--threads", value, "examples/fghc/hanoi.fghc"])
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag `--threads`"), "{stderr}");
+    }
 }
 
 #[test]
@@ -197,16 +200,24 @@ fn tracesim_rejects_zero_pes_and_threads() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(flag), "{stderr}");
     }
+    // tracesim has no --threads: any value is an unknown flag.
+    let out = tracesim()
+        .args(["--gen", "aurora", "--threads", "2"])
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--threads`"), "{stderr}");
 }
 
 #[test]
-fn tracesim_reports_are_identical_across_thread_counts() {
+fn tracesim_reports_are_identical_run_to_run() {
     let dir = std::env::temp_dir().join("tracesim_cli_test4");
     std::fs::create_dir_all(&dir).unwrap();
-    let report = |threads: &str| {
-        let path = dir.join(format!("report-{threads}.json"));
+    let report = |run: &str| {
+        let path = dir.join(format!("report-{run}.json"));
         let out = tracesim()
-            .args(["--gen", "lock-churn", "--pes", "4", "--threads", threads])
+            .args(["--gen", "lock-churn", "--pes", "4"])
             .args(["--report", path.to_str().unwrap()])
             .output()
             .expect("runs");
@@ -221,11 +232,9 @@ fn tracesim_reports_are_identical_across_thread_counts() {
         )
     };
     let (out1, rep1) = report("1");
-    for threads in ["2", "8"] {
-        let (out_n, rep_n) = report(threads);
-        assert_eq!(out_n, out1, "stdout diverged at {threads} threads");
-        assert_eq!(rep_n, rep1, "report diverged at {threads} threads");
-    }
+    let (out2, rep2) = report("2");
+    assert_eq!(out2, out1, "stdout diverged between runs");
+    assert_eq!(rep2, rep1, "report diverged between runs");
     assert!(rep1.contains("\"schema\": \"pim-repro/v1\""), "{rep1}");
 }
 
@@ -247,13 +256,40 @@ fn tracesim_rejects_malformed_traces() {
 }
 
 #[test]
-fn tracesim_fault_injection_is_deterministic_across_threads() {
+fn tracesim_reports_a_stuck_replay_instead_of_hanging() {
+    // PE0 locks a word and its stream ends without releasing it; PE1
+    // then blocks on that lock with nothing left that could free it.
+    let dir = std::env::temp_dir().join("tracesim_cli_stuck");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("stuck.txt");
+    let h = pim_trace::AreaMap::standard().base(pim_trace::StorageArea::Heap);
+    std::fs::write(
+        &path,
+        format!(
+            "0 LR {h:#x} heap\n1 R {:#x} heap\n1 R {:#x} heap\n1 LR {h:#x} heap\n1 U {h:#x} heap\n",
+            h + 0x10,
+            h + 0x20
+        ),
+    )
+    .unwrap();
+    let out = tracesim()
+        .args(["--timeout", "10", path.to_str().unwrap()])
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("replay stuck: PE1 blocked"), "{stderr}");
+    assert!(!stderr.contains("wall-clock"), "{stderr}");
+}
+
+#[test]
+fn tracesim_fault_injection_is_deterministic_run_to_run() {
     let dir = std::env::temp_dir().join("tracesim_cli_faults");
     std::fs::create_dir_all(&dir).unwrap();
-    let report = |threads: &str| {
-        let path = dir.join(format!("report-{threads}.json"));
+    let report = |run: &str| {
+        let path = dir.join(format!("report-{run}.json"));
         let out = tracesim()
-            .args(["--gen", "lock-churn", "--pes", "4", "--threads", threads])
+            .args(["--gen", "lock-churn", "--pes", "4"])
             .args(["--faults", "seed=7,rate=0.01"])
             .args(["--report", path.to_str().unwrap()])
             .output()
@@ -271,11 +307,9 @@ fn tracesim_fault_injection_is_deterministic_across_threads() {
     let (out1, rep1) = report("1");
     assert!(out1.contains("faults:"), "{out1}");
     assert!(rep1.contains("\"fault_plan\""), "{rep1}");
-    for threads in ["2", "8"] {
-        let (out_n, rep_n) = report(threads);
-        assert_eq!(out_n, out1, "stdout diverged at {threads} threads");
-        assert_eq!(rep_n, rep1, "report diverged at {threads} threads");
-    }
+    let (out2, rep2) = report("2");
+    assert_eq!(out2, out1, "stdout diverged between runs");
+    assert_eq!(rep2, rep1, "report diverged between runs");
 }
 
 #[test]
@@ -291,7 +325,7 @@ fn tracesim_rejects_bad_fault_specs() {
 #[test]
 fn kl1run_completes_under_fault_injection() {
     // Faults are timing-only: the answer must match the fault-free run
-    // at every thread count and the stats line must account for them.
+    // and the stats line must account for them.
     let run = |args: &[&str]| {
         let mut cmd = kl1run();
         cmd.args(args).arg("examples/fghc/hanoi.fghc");
@@ -310,25 +344,16 @@ fn kl1run_completes_under_fault_injection() {
     let (faulty, stderr) = run(&["--pes", "2", "--stats", "--faults", "seed=7,rate=0.02"]);
     assert_eq!(faulty, clean);
     assert!(stderr.contains("faults:"), "{stderr}");
-    let (par, _) = run(&[
-        "--pes",
-        "2",
-        "--threads",
-        "2",
-        "--faults",
-        "seed=7,rate=0.02",
-    ]);
-    assert_eq!(par, clean);
 }
 
 #[test]
-fn tracesim_trace_files_are_byte_identical_across_threads() {
+fn tracesim_trace_files_are_byte_identical_run_to_run() {
     let dir = std::env::temp_dir().join("tracesim_cli_trace1");
     std::fs::create_dir_all(&dir).unwrap();
-    let trace = |threads: &str| {
-        let path = dir.join(format!("trace-{threads}.json"));
+    let trace = |run: &str| {
+        let path = dir.join(format!("trace-{run}.json"));
         let out = tracesim()
-            .args(["--gen", "aurora", "--pes", "4", "--threads", threads])
+            .args(["--gen", "aurora", "--pes", "4"])
             .args(["--trace", path.to_str().unwrap()])
             .output()
             .expect("runs");
@@ -340,8 +365,8 @@ fn tracesim_trace_files_are_byte_identical_across_threads() {
         std::fs::read_to_string(&path).unwrap()
     };
     let t1 = trace("1");
-    let t4 = trace("4");
-    assert_eq!(t1, t4, "trace bytes diverged between --threads 1 and 4");
+    let t2 = trace("2");
+    assert_eq!(t1, t2, "trace bytes diverged between runs");
     assert!(t1.contains("\"schema\":\"pim-trace/v1\""));
 }
 
@@ -439,11 +464,11 @@ fn kl1run_rejects_bad_trace_destination_before_running() {
 fn tracesim_trace_ring_cap_drops_loudly_and_stays_deterministic() {
     let dir = std::env::temp_dir().join("tracesim_cli_trace2");
     std::fs::create_dir_all(&dir).unwrap();
-    let trace = |threads: &str| {
-        let path = dir.join(format!("capped-{threads}.json"));
+    let trace = |run: &str| {
+        let path = dir.join(format!("capped-{run}.json"));
         let spec = format!("{}:cap=200", path.to_str().unwrap());
         let out = tracesim()
-            .args(["--gen", "lock-churn", "--pes", "4", "--threads", threads])
+            .args(["--gen", "lock-churn", "--pes", "4"])
             .args(["--trace", &spec])
             .output()
             .expect("runs");
@@ -458,8 +483,8 @@ fn tracesim_trace_ring_cap_drops_loudly_and_stays_deterministic() {
         std::fs::read_to_string(&path).unwrap()
     };
     let t1 = trace("1");
-    let t4 = trace("4");
-    assert_eq!(t1, t4, "capped trace diverged between thread counts");
+    let t2 = trace("2");
+    assert_eq!(t1, t2, "capped trace diverged between runs");
     let parsed = pim_tracer::Trace::parse(&t1).expect("parses");
     assert_eq!(parsed.recorded, 200);
     assert!(parsed.dropped > 0);
