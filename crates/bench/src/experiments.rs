@@ -32,24 +32,12 @@ pub fn trace_table1_run(scale: Scale, path: &str, cap: usize) -> std::io::Result
         base_config(8, OptMask::all()),
         &mut || tracer.observer(),
     );
-    let (emitted, recorded, dropped) =
-        (tracer.emitted(), tracer.recorded() as u64, tracer.dropped());
-    let text = pim_tracer::export_chrome(
-        &tracer.take_sorted(),
-        &pim_tracer::TraceMeta {
-            makespan: report.makespan,
-            pes: report.pes as usize,
-            emitted,
-            recorded,
-            dropped,
-        },
-    );
-    pim_ckpt::atomic_write_class(
-        pim_ckpt::vfs::PathClass::Trace,
+    let meta = tracer.write_chrome(
         std::path::Path::new(path),
-        text.as_bytes(),
+        report.makespan,
+        report.pes as usize,
     )?;
-    Ok((report.makespan, emitted, dropped))
+    Ok((report.makespan, meta.emitted, meta.dropped))
 }
 
 fn pct(num: u64, den: u64) -> f64 {

@@ -29,6 +29,23 @@ pub struct CacheGeometry {
     pub ways: u64,
 }
 
+/// Why [`CacheGeometry::try_with_shape`] refused a shape.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShapeError {
+    /// The parameter at fault: `capacity`, `block` or `ways`.
+    pub param: &'static str,
+    /// The rule it breaks.
+    pub reason: String,
+}
+
+impl std::fmt::Display for ShapeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.reason)
+    }
+}
+
+impl std::error::Error for ShapeError {}
+
 impl CacheGeometry {
     /// The paper's base cache: 4-word blocks × 256 sets × 4 ways = 4 Kwords.
     pub fn paper_default() -> CacheGeometry {
@@ -55,22 +72,57 @@ impl CacheGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if parameters are not powers of two or inconsistent.
+    /// Panics on any shape [`CacheGeometry::try_with_shape`] refuses.
     pub fn with_shape(capacity_words: u64, block_words: u64, ways: u64) -> CacheGeometry {
-        assert!(capacity_words.is_power_of_two(), "capacity must be 2^k");
-        assert!(block_words.is_power_of_two(), "block must be 2^k");
-        let per_set = block_words * ways;
-        assert!(
-            capacity_words >= per_set,
-            "capacity {capacity_words} below one set ({per_set})"
-        );
+        CacheGeometry::try_with_shape(capacity_words, block_words, ways)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// A geometry with the given capacity, block size, and associativity,
+    /// or the first rule the shape breaks: capacity and block size must
+    /// be powers of two, there must be at least one way, and the
+    /// capacity must hold a power-of-two number of sets.
+    ///
+    /// # Errors
+    ///
+    /// A [`ShapeError`] naming the offending parameter.
+    pub fn try_with_shape(
+        capacity_words: u64,
+        block_words: u64,
+        ways: u64,
+    ) -> Result<CacheGeometry, ShapeError> {
+        let refuse = |param, reason| Err(ShapeError { param, reason });
+        if !capacity_words.is_power_of_two() {
+            return refuse(
+                "capacity",
+                format!("capacity must be 2^k, got {capacity_words}"),
+            );
+        }
+        if !block_words.is_power_of_two() {
+            return refuse("block", format!("block must be 2^k, got {block_words}"));
+        }
+        if ways == 0 {
+            return refuse("ways", "ways must be at least 1".into());
+        }
+        let per_set = block_words.saturating_mul(ways);
+        if capacity_words < per_set {
+            return refuse(
+                "capacity",
+                format!("capacity {capacity_words} below one set ({per_set})"),
+            );
+        }
         let sets = capacity_words / per_set;
-        assert!(sets.is_power_of_two(), "sets must be 2^k");
-        CacheGeometry {
+        if !sets.is_power_of_two() {
+            return refuse(
+                "ways",
+                format!("sets must be 2^k, got {sets} ({ways} ways)"),
+            );
+        }
+        Ok(CacheGeometry {
             block_words,
             sets,
             ways,
-        }
+        })
     }
 
     /// Total data capacity in words.

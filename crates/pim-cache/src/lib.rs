@@ -66,7 +66,7 @@ pub mod stats;
 
 pub use array::CacheArray;
 pub use error::ProtocolError;
-pub use geometry::CacheGeometry;
+pub use geometry::{CacheGeometry, ShapeError};
 pub use lockdir::{LockDirectory, LockState};
 pub use optmask::{OptColumn, OptMask};
 pub use protocol::{Outcome, PimSystem, SystemConfig};

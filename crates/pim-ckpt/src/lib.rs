@@ -117,6 +117,18 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The canonical 64-bit finalizer (splitmix64). Full avalanche: every
+/// input bit affects every output bit. The one mix behind every seeded,
+/// stateless schedule in the workspace: simulated faults and host chaos
+/// (`pim-fault`) and the I/O failpoints ([`vfs`]).
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 /// Serializer for checkpoint payloads: an append-only byte buffer with
 /// little-endian primitives and named, length-prefixed sections.
 #[derive(Debug, Default)]

@@ -46,6 +46,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use crate::splitmix64;
+
 /// One million: rates are expressed in parts per million.
 pub const PPM: u64 = 1_000_000;
 
@@ -294,13 +296,6 @@ impl IoChaosConfig {
         }
         Ok(cfg)
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// An injected fault plus the mix key that sub-decisions (which syscall

@@ -23,6 +23,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use pim_bus::{arbitrate, Grant, Nack};
+use pim_ckpt::splitmix64;
 use pim_trace::PeId;
 
 /// One million — fault rates are expressed in parts per million so the
@@ -203,15 +204,6 @@ impl FaultConfig {
             backoff_base: r.get_u64()?,
         })
     }
-}
-
-/// The canonical 64-bit finalizer (splitmix64). Full avalanche: every
-/// input bit affects every output bit.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// A seeded fault plan: a pure decision function over simulated time.
@@ -482,7 +474,8 @@ pub mod chaos {
     //! thread count) draw identical chaos schedules, and a retried cell
     //! re-draws exactly the event that killed it the first time.
 
-    use super::{splitmix64, PPM};
+    use super::PPM;
+    use pim_ckpt::splitmix64;
 
     /// One host-side chaos event against a sweep worker.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]

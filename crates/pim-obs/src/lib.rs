@@ -21,7 +21,8 @@
 //! * [`Json`] — a dependency-free, insertion-ordered, deterministic
 //!   JSON value for the machine-readable reports. Report files must be
 //!   byte-identical across identical invocations, so nothing in this
-//!   crate reads wall-clock time.
+//!   crate reads wall-clock time. [`parse_json`] reads such documents
+//!   back, strictly.
 //!
 //! # Examples
 //!
@@ -44,6 +45,7 @@ pub mod hist;
 pub mod json;
 pub mod metrics;
 pub mod observe;
+pub mod parse;
 pub mod series;
 
 pub use hist::Histogram;
@@ -52,4 +54,5 @@ pub use metrics::{
     histogram_json, matrix_json, pe_cycles_json, series_json, Metrics, SharedMetrics,
 };
 pub use observe::{CohState, Fanout, NullObserver, Observer, PeCycles, TransitionMatrix};
+pub use parse::{parse_json, JsonExt};
 pub use series::{SeriesWindow, TimeSeries};

@@ -130,6 +130,15 @@ fn main() {
     let spec_digest = spec.digest();
     let started = std::time::Instant::now();
 
+    // Probe the report destination before the journal opens, so an
+    // unwritable path fails now instead of after the whole grid ran.
+    if let Some(path) = &report_arg {
+        if let Err(e) = pim_ckpt::validate_destination(std::path::Path::new(path)) {
+            eprintln!("sweeprun: cannot write report {path}: {e}");
+            exit(1);
+        }
+    }
+
     // Open (or resume) the journal before any work: a journal for a
     // different sweep, or a file that is not a journal, is refused.
     let mut prior = BTreeMap::new();

@@ -185,9 +185,10 @@ fn run_attempt(
                 None => None,
             };
             let ctl = CellControl {
-                deadline: cfg
-                    .timeout_secs
-                    .map(|s| std::time::Instant::now() + std::time::Duration::from_secs(s)),
+                // A deadline past what `Instant` can represent is none.
+                deadline: cfg.timeout_secs.and_then(|s| {
+                    std::time::Instant::now().checked_add(std::time::Duration::from_secs(s))
+                }),
                 cancel,
                 budget_secs: cfg.timeout_secs.unwrap_or(0),
                 progress,

@@ -94,6 +94,26 @@ fn full_sweep_exits_0_and_is_thread_invariant_modulo_provenance() {
 }
 
 #[test]
+fn a_timeout_too_large_to_represent_is_no_deadline() {
+    let dir = tempdir("hugetimeout");
+    let spec = write_spec(&dir, "s.sweep", BASIC_SPEC);
+    let report = dir.join("r.json");
+    let out = sweeprun()
+        .args([
+            "--sweep",
+            &format!("{}:timeout=18446744073709551615", spec.display()),
+        ])
+        .args(["--report", report.to_str().unwrap()])
+        .output()
+        .expect("sweeprun runs");
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let body = std::fs::read_to_string(&report).unwrap();
+    assert!(body.contains(r#""done": 4"#), "{body}");
+    assert!(body.contains(r#""quarantined": 0"#), "{body}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn completed_cells_are_served_from_the_journal_not_rerun() {
     let dir = tempdir("reuse");
     let spec = write_spec(&dir, "s.sweep", BASIC_SPEC);

@@ -288,5 +288,15 @@ fn bad_status_spec_or_unwritable_paths_fail_fast() {
         "{}",
         stderr_of(&out)
     );
+    // So does an unwritable report destination: no cell runs first.
+    let out = sweeprun()
+        .args(["--sweep", spec.to_str().unwrap()])
+        .args(["--report", "/nonexistent-dir/r.json"])
+        .output()
+        .expect("sweeprun runs");
+    assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
+    let stderr = stderr_of(&out);
+    assert!(stderr.contains("cannot write report"), "{stderr}");
+    assert!(!stderr.contains(": done `"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }

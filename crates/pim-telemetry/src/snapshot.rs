@@ -1,279 +1,16 @@
-//! Reading `pim-status/v1` snapshots back: a strict, dependency-free
-//! JSON parser, the typed [`Snapshot`] view, and the one-screen render
-//! `sweepwatch` draws.
+//! Reading `pim-status/v1` snapshots back: the typed [`Snapshot`]
+//! view over the workspace's strict JSON reader
+//! ([`pim_obs::parse_json`]), and the one-screen render `sweepwatch`
+//! draws.
 //!
-//! The parser is deliberately strict — any truncation, trailing bytes,
-//! or malformed token is an error, never a best-effort partial value —
-//! because its whole job is to distinguish "a complete snapshot the
-//! atomic writer published" from "garbage". Numbers keep their raw
-//! token text so `u64::MAX` round-trips exactly instead of sagging
-//! through an `f64`.
+//! Strictness is the point: any truncation, trailing bytes, or
+//! malformed token is an error, never a best-effort partial value,
+//! because this reader's whole job is to distinguish "a complete
+//! snapshot the atomic writer published" from "garbage". Integers
+//! parse exactly, so `u64::MAX` round-trips instead of sagging through
+//! an `f64`.
 
-/// A parsed JSON value with numbers kept as raw token text.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Value> {
-        match self {
-            Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err<T>(&self, what: &str) -> Result<T, String> {
-        Err(format!("{what} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(&format!("expected `{}`", b as char))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            self.err(&format!("expected `{lit}`"))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') => self.eat_literal("null").map(|()| Value::Null),
-            Some(b't') => self.eat_literal("true").map(|()| Value::Bool(true)),
-            Some(b'f') => self.eat_literal("false").map(|()| Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => self.err("expected a value"),
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let digits_start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.pos == digits_start {
-            return self.err("expected digits");
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            let frac_start = self.pos;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-            if self.pos == frac_start {
-                return self.err("expected fraction digits");
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            let exp_start = self.pos;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-            if self.pos == exp_start {
-                return self.err("expected exponent digits");
-            }
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-utf8 number".to_string())?;
-        Ok(Value::Num(raw.to_string()))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return self.err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "non-utf8 \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            // Surrogates would need pairing; the writer
-                            // never emits them, so reject rather than
-                            // guess.
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| "bad \\u codepoint".to_string())?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return self.err("bad escape"),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x20 => return self.err("raw control char in string"),
-                Some(_) => {
-                    // Consume one full UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "non-utf8 string".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return self.err("expected `,` or `]`"),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.eat(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(pairs));
-                }
-                _ => return self.err("expected `,` or `}`"),
-            }
-        }
-    }
-
-    fn document(&mut self) -> Result<Value, String> {
-        let v = self.value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return self.err("trailing bytes after document");
-        }
-        Ok(v)
-    }
-}
+use pim_obs::{parse_json, Json, JsonExt};
 
 /// One quarantined cell as recorded in a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -333,9 +70,9 @@ pub struct Snapshot {
     pub quarantined_cells: Vec<QuarantinedCell>,
 }
 
-fn field(v: &Value, key: &str) -> Result<u64, String> {
+fn field(v: &Json, key: &str) -> Result<u64, String> {
     v.get(key)
-        .and_then(Value::as_u64)
+        .and_then(Json::as_u64)
         .ok_or_else(|| format!("missing or non-integer `{key}`"))
 }
 
@@ -344,10 +81,10 @@ impl Snapshot {
     /// complete `pim-status/v1` object — a truncated prefix, trailing
     /// garbage, or a wrong/missing schema all fail.
     pub fn parse(text: &str) -> Result<Snapshot, String> {
-        let doc = Parser::new(text).document()?;
+        let doc = parse_json(text)?;
         let schema = doc
             .get("schema")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or_else(|| "missing `schema`".to_string())?;
         if schema != crate::STATUS_SCHEMA {
             return Err(format!(
@@ -365,7 +102,7 @@ impl Snapshot {
             .get("engine")
             .ok_or_else(|| "missing `engine`".to_string())?;
         let running_cells = match doc.get("running_cells") {
-            Some(Value::Arr(items)) => items
+            Some(Json::Arr(items)) => items
                 .iter()
                 .map(|v| {
                     v.as_str()
@@ -376,19 +113,19 @@ impl Snapshot {
             _ => return Err("missing `running_cells`".to_string()),
         };
         let quarantined_cells = match doc.get("quarantined_cells") {
-            Some(Value::Arr(items)) => items
+            Some(Json::Arr(items)) => items
                 .iter()
                 .map(|v| {
                     Ok(QuarantinedCell {
                         cell: v
                             .get("cell")
-                            .and_then(Value::as_str)
+                            .and_then(Json::as_str)
                             .ok_or_else(|| "quarantined cell missing `cell`".to_string())?
                             .to_string(),
                         attempts: field(v, "attempts")?,
                         error: v
                             .get("error")
-                            .and_then(Value::as_str)
+                            .and_then(Json::as_str)
                             .unwrap_or_default()
                             .to_string(),
                     })
@@ -399,12 +136,12 @@ impl Snapshot {
         Ok(Snapshot {
             tool: doc
                 .get("tool")
-                .and_then(Value::as_str)
+                .and_then(Json::as_str)
                 .ok_or_else(|| "missing `tool`".to_string())?
                 .to_string(),
             finished: doc
                 .get("finished")
-                .and_then(Value::as_bool)
+                .and_then(Json::as_bool)
                 .ok_or_else(|| "missing `finished`".to_string())?,
             elapsed_ms: field(&doc, "elapsed_ms")?,
             workers: field(&doc, "workers")?,
@@ -423,9 +160,9 @@ impl Snapshot {
             engine_chunks: field(engine, "chunks")?,
             cells_per_sec: doc
                 .get("cells_per_sec")
-                .and_then(Value::as_f64)
+                .and_then(Json::as_f64)
                 .unwrap_or(0.0),
-            eta_ms: doc.get("eta_ms").and_then(Value::as_u64),
+            eta_ms: doc.get("eta_ms").and_then(Json::as_u64),
             running_cells,
             quarantined_cells,
         })

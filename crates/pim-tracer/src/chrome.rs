@@ -13,8 +13,11 @@
 //! before `B` so that back-to-back bus holds stay balanced at equal
 //! timestamps.
 
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, SharedTracer};
+use pim_ckpt::vfs::PathClass;
 use pim_obs::Json;
+use std::io;
+use std::path::Path;
 
 /// Envelope counters written to `otherData` and read back by `pimtrace`.
 #[derive(Debug, Clone, Copy)]
@@ -345,6 +348,29 @@ pub fn export_chrome(events: &[Event], meta: &TraceMeta) -> String {
     out.push_str(&other.to_string_compact());
     out.push_str("\n}\n");
     out
+}
+
+impl SharedTracer {
+    /// Drains the ring, renders it with [`export_chrome`] and writes the
+    /// file atomically (I/O class `Trace`, so `--io-chaos` schedules and
+    /// recovers it like every other durable write). Returns the
+    /// envelope written, whose counters say what the ring kept.
+    ///
+    /// # Errors
+    ///
+    /// The failed write, after the I/O layer's retries.
+    pub fn write_chrome(&self, path: &Path, makespan: u64, pes: usize) -> io::Result<TraceMeta> {
+        let meta = TraceMeta {
+            makespan,
+            pes,
+            emitted: self.emitted(),
+            recorded: self.recorded() as u64,
+            dropped: self.dropped(),
+        };
+        let text = export_chrome(&self.take_sorted(), &meta);
+        pim_ckpt::atomic_write_class(PathClass::Trace, path, text.as_bytes())?;
+        Ok(meta)
+    }
 }
 
 #[cfg(test)]

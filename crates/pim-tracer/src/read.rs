@@ -1,275 +1,9 @@
-//! Reading saved traces back: a dependency-free JSON parser producing
-//! [`pim_obs::Json`] values, plus the typed [`Trace`] model `pimtrace`
-//! analyzes.
-//!
-//! The parser accepts standard JSON (the grammar of RFC 8259); it
-//! exists because `pim_obs::Json` is deliberately writer-only. Numbers
-//! become `U64` when integral and non-negative, `I64` when integral and
-//! negative, `F64` otherwise — the same shapes the writer emits.
+//! Reading saved traces back: the typed [`Trace`] model `pimtrace`
+//! analyzes, over the workspace's one JSON reader
+//! ([`pim_obs::parse_json`], re-exported here with [`JsonExt`]).
 
 use pim_obs::Json;
-
-/// Parses one JSON document; trailing whitespace is allowed, trailing
-/// content is an error.
-pub fn parse_json(src: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: src.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing content after JSON value"));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("json parse error at byte {}: {}", self.pos, msg)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(self.err(&format!("unexpected byte '{}'", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-ascii \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogate pairs never occur in our own
-                            // output; map lone surrogates to U+FFFD.
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x80 => {
-                    s.push(b as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // One multi-byte UTF-8 scalar: decode from at most
-                    // four bytes, never the whole remaining input.
-                    let end = (self.pos + 4).min(self.bytes.len());
-                    let chunk = &self.bytes[self.pos..end];
-                    let valid = match std::str::from_utf8(chunk) {
-                        Ok(t) => t,
-                        Err(e) if e.valid_up_to() > 0 => {
-                            std::str::from_utf8(&chunk[..e.valid_up_to()])
-                                .map_err(|_| self.err("invalid utf-8 in string"))?
-                        }
-                        Err(_) => return Err(self.err("invalid utf-8 in string")),
-                    };
-                    let ch = valid
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("truncated string"))?;
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let mut integral = true;
-        if self.peek() == Some(b'.') {
-            integral = false;
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            integral = false;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number"))?;
-        if integral {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Json::U64(u));
-            }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Json::I64(i));
-            }
-        }
-        text.parse::<f64>()
-            .map(Json::F64)
-            .map_err(|_| self.err("bad number"))
-    }
-}
-
-/// Field access helpers for parsed values.
-pub trait JsonExt {
-    /// Looks a key up in an object; `None` for non-objects.
-    fn get(&self, key: &str) -> Option<&Json>;
-    /// The value as u64 if it is a non-negative integer.
-    fn as_u64(&self) -> Option<u64>;
-    /// The value as a string slice.
-    fn as_str(&self) -> Option<&str>;
-}
-
-impl JsonExt for Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::U64(u) => Some(*u),
-            Json::I64(i) => u64::try_from(*i).ok(),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
+pub use pim_obs::{parse_json, JsonExt};
 
 /// One parsed `traceEvents` entry.
 #[derive(Debug, Clone, PartialEq)]

@@ -172,8 +172,8 @@ const CELL_CHUNK: u64 = 1 << 16;
 
 /// Runs one sweep cell — `bench` at `scale` under `protocol` with
 /// `config` — without panicking: every failure comes back as a
-/// [`CellError`], and the engine loop is chunked so the supervisor's
-/// deadline and cancel flag are honored mid-run. Chunked execution is
+/// [`CellError`], and when `ctl` supervises the run the engine loop is
+/// chunked so its deadline and cancel flag are honored mid-run. Chunked execution is
 /// bit-identical to a single uninterrupted run, so cell results are
 /// reproducible regardless of supervision.
 pub fn run_cell(
@@ -183,46 +183,110 @@ pub fn run_cell(
     config: SystemConfig,
     ctl: &CellControl<'_>,
 ) -> Result<RunReport, CellError> {
-    match protocol {
-        Protocol::Pim => {
-            let system = PimSystem::new(config.clone());
-            run_cell_on(bench, scale, config, system, ctl)
-        }
+    let pes = config.pes;
+    let setup = Setup::aligned(config.geometry.block_words);
+    Ok(match protocol {
+        Protocol::Pim => run_body(bench, scale, pes, PimSystem::new(config), setup, ctl)?.0,
         Protocol::Illinois => {
-            let system = IllinoisSystem::new(config.clone());
-            run_cell_on(bench, scale, config, system, ctl)
+            run_body(bench, scale, pes, IllinoisSystem::new(config), setup, ctl)?.0
+        }
+    })
+}
+
+/// How one run is set up beyond the benchmark, the scale and the
+/// memory system.
+#[derive(Default)]
+struct Setup<'a> {
+    /// Record alignment the machine compiles for.
+    block_words: u64,
+    /// Stop-and-copy GC semispace per PE, when GC is on.
+    semispace_words: Option<u64>,
+    options: fghc::CompileOptions,
+    /// The metrics sink, whose aggregate lands in [`RunReport::metrics`].
+    profile: Option<&'a SharedMetrics>,
+    /// A caller's extra sink, one fresh clone per component.
+    extra: Option<&'a mut dyn FnMut() -> Box<dyn Observer>>,
+}
+
+impl Setup<'_> {
+    fn aligned(block_words: u64) -> Self {
+        Setup {
+            block_words,
+            ..Setup::default()
         }
     }
 }
 
-fn run_cell_on<S: MemorySystem>(
+/// Compiles `bench` and poses its query on a fresh machine.
+fn build_cluster(
     bench: Bench,
     scale: Scale,
-    config: SystemConfig,
-    system: S,
-    ctl: &CellControl<'_>,
-) -> Result<RunReport, CellError> {
-    use std::sync::atomic::Ordering;
-    let pes = config.pes;
-    let block = config.geometry.block_words;
-    let program = fghc::compile(bench.source()).map_err(|e| CellError::Compile(e.to_string()))?;
-    let mut cluster = Cluster::new(
-        program,
-        ClusterConfig {
-            pes,
-            block_words: block,
-            ..ClusterConfig::default()
-        },
-    );
+    config: ClusterConfig,
+    options: fghc::CompileOptions,
+) -> Result<Cluster, CellError> {
+    let program = fghc::compile_with(bench.source(), options)
+        .map_err(|e| CellError::Compile(e.to_string()))?;
+    let mut cluster = Cluster::new(program, config);
     let (proc, args) = bench.query(scale);
     cluster
         .set_query(proc, args)
         .map_err(|e| CellError::Query(e.to_string()))?;
+    Ok(cluster)
+}
+
+/// The one body behind every engine-driven entry point: build the
+/// machine, attach observers, drive the engine, and check the outcome
+/// and the answer against the oracle. A run that `ctl` supervises goes
+/// in chunks, so its deadline, cancel flag and progress tick are
+/// honoured mid-run; any other run is one engine call. Chunked
+/// execution is bit-identical to an uninterrupted run.
+fn run_body<S: MemorySystem>(
+    bench: Bench,
+    scale: Scale,
+    pes: u32,
+    mut system: S,
+    mut setup: Setup<'_>,
+    ctl: &CellControl<'_>,
+) -> Result<(RunReport, S), CellError> {
+    use std::sync::atomic::Ordering;
+    let mut cluster = build_cluster(
+        bench,
+        scale,
+        ClusterConfig {
+            pes,
+            block_words: setup.block_words,
+            heap_semispace_words: setup.semispace_words,
+            ..ClusterConfig::default()
+        },
+        setup.options,
+    )?;
+    // One observer per component slot: the metrics sink, the caller's
+    // extra sink (e.g. an event tracer), or both fanned out.
+    let profile = setup.profile;
+    let mut make = || -> Option<Box<dyn Observer>> {
+        match (profile, setup.extra.as_mut()) {
+            (Some(s), Some(f)) => Some(Box::new(Fanout::from_sinks(vec![s.observer(), f()]))),
+            (Some(s), None) => Some(s.observer()),
+            (None, Some(f)) => Some(f()),
+            (None, None) => None,
+        }
+    };
+    if let Some(obs) = make() {
+        cluster.set_observer(obs);
+    }
+    if let Some(obs) = make() {
+        system.set_observer(obs);
+    }
     let mut engine = Engine::new(system, pes);
+    if let Some(obs) = make() {
+        engine.set_observer(obs);
+    }
+    let supervised = ctl.deadline.is_some() || ctl.cancel.is_some() || ctl.progress.is_some();
+    let chunk = if supervised { CELL_CHUNK } else { MAX_STEPS };
     let mut total_steps = 0u64;
     let stats = loop {
-        let chunk = CELL_CHUNK.min(MAX_STEPS - total_steps);
-        let stats = engine.run(&mut cluster, chunk).map_err(CellError::Sim)?;
+        let budget = chunk.min(MAX_STEPS - total_steps);
+        let stats = engine.run(&mut cluster, budget).map_err(CellError::Sim)?;
         total_steps += stats.steps;
         if let Some(tick) = ctl.progress {
             tick(stats.steps);
@@ -248,108 +312,8 @@ fn run_cell_on<S: MemorySystem>(
         return Err(CellError::Failed(msg.to_string()));
     }
     let answer = engine.with_port(PeId(0), |port| cluster.extract(port, "R"));
-    let Some(answer) = answer else {
-        return Err(CellError::Unbound);
-    };
-    let want = reference::expected(bench, scale);
-    if answer != want {
-        return Err(CellError::WrongAnswer {
-            got: answer.to_string(),
-            want: want.to_string(),
-        });
-    }
+    let answer = check_answer(bench, scale, answer)?;
     let system = engine.into_system();
-    Ok(RunReport {
-        bench,
-        scale,
-        pes,
-        machine: cluster.stats(),
-        refs: system.ref_stats().clone(),
-        bus: system.bus_stats().clone(),
-        access: *system.access_stats(),
-        locks: *system.lock_stats(),
-        makespan: stats.makespan,
-        pe_cycles: stats.pe_cycles,
-        metrics: None,
-        answer,
-    })
-}
-
-fn build_cluster(bench: Bench, scale: Scale, pes: u32, block_words: u64) -> Cluster {
-    build_cluster_with(
-        bench,
-        scale,
-        pes,
-        block_words,
-        fghc::CompileOptions::default(),
-    )
-}
-
-fn build_cluster_with(
-    bench: Bench,
-    scale: Scale,
-    pes: u32,
-    block_words: u64,
-    options: fghc::CompileOptions,
-) -> Cluster {
-    let program = fghc::compile_with(bench.source(), options)
-        .unwrap_or_else(|e| panic!("{} does not compile: {e}", bench.name()));
-    let mut cluster = Cluster::new(
-        program,
-        ClusterConfig {
-            pes,
-            block_words,
-            ..ClusterConfig::default()
-        },
-    );
-    let (proc, args) = bench.query(scale);
-    cluster
-        .set_query(proc, args)
-        .unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
-    cluster
-}
-
-/// Runs `bench` on the PIM cache with stop-and-copy GC enabled over
-/// `semispace_words`-word semispaces per PE (for the GC experiment).
-pub fn run_pim_gc(
-    bench: Bench,
-    scale: Scale,
-    config: SystemConfig,
-    semispace_words: u64,
-) -> (RunReport, kl1_machine::GcStats) {
-    let pes = config.pes;
-    let block = config.geometry.block_words;
-    let program = fghc::compile(bench.source())
-        .unwrap_or_else(|e| panic!("{} does not compile: {e}", bench.name()));
-    let mut cluster = Cluster::new(
-        program,
-        ClusterConfig {
-            pes,
-            block_words: block,
-            heap_semispace_words: Some(semispace_words),
-            ..ClusterConfig::default()
-        },
-    );
-    let (proc, args) = bench.query(scale);
-    cluster
-        .set_query(proc, args)
-        .unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
-    let mut engine = Engine::new(PimSystem::new(config), pes);
-    let stats = engine
-        .run(&mut cluster, MAX_STEPS)
-        .unwrap_or_else(|e| panic!("{} simulation failed: {e}", bench.name()));
-    assert!(stats.finished, "{} exceeded the step budget", bench.name());
-    if let Some(msg) = cluster.failure() {
-        panic!("{} failed: {msg}", bench.name());
-    }
-    let answer = engine.with_port(PeId(0), |port| {
-        cluster
-            .extract(port, "R")
-            .unwrap_or_else(|| panic!("{}: query var R unbound", bench.name()))
-    });
-    validate(bench, scale, &answer);
-    let system = engine.into_system();
-    let gc = cluster.stats().gc;
     let report = RunReport {
         bench,
         scale,
@@ -361,9 +325,70 @@ pub fn run_pim_gc(
         locks: *system.lock_stats(),
         makespan: stats.makespan,
         pe_cycles: stats.pe_cycles,
-        metrics: None,
+        metrics: profile.map(SharedMetrics::take),
         answer,
     };
+    Ok((report, system))
+}
+
+/// The bound query variable, if it matches the reference oracle.
+fn check_answer(bench: Bench, scale: Scale, answer: Option<Term>) -> Result<Term, CellError> {
+    let answer = answer.ok_or(CellError::Unbound)?;
+    let want = reference::expected(bench, scale);
+    if answer != want {
+        return Err(CellError::WrongAnswer {
+            got: answer.to_string(),
+            want: want.to_string(),
+        });
+    }
+    Ok(answer)
+}
+
+/// Unwraps a run of the panicking entry points, naming the benchmark.
+fn expect_run<T>(bench: Bench, run: Result<T, CellError>) -> T {
+    run.unwrap_or_else(|e| panic!("{}: {e}", bench.name()))
+}
+
+/// Runs `bench` unsupervised on a PIM cache built from `config`,
+/// panicking on any failure; the system comes back for checks.
+fn run_pim_with(
+    bench: Bench,
+    scale: Scale,
+    config: SystemConfig,
+    setup: Setup<'_>,
+) -> (RunReport, PimSystem) {
+    let setup = Setup {
+        block_words: config.geometry.block_words,
+        ..setup
+    };
+    let (pes, ctl) = (config.pes, CellControl::default());
+    let run = run_body(bench, scale, pes, PimSystem::new(config), setup, &ctl);
+    expect_run(bench, run)
+}
+
+/// The report of a PIM run whose final state passes the coherence
+/// invariants.
+fn checked((report, system): (RunReport, PimSystem)) -> RunReport {
+    system
+        .check_coherence_invariants()
+        .unwrap_or_else(|e| panic!("coherence invariants after run: {e}"));
+    report
+}
+
+/// Runs `bench` on the PIM cache with stop-and-copy GC enabled over
+/// `semispace_words`-word semispaces per PE (for the GC experiment).
+pub fn run_pim_gc(
+    bench: Bench,
+    scale: Scale,
+    config: SystemConfig,
+    semispace_words: u64,
+) -> (RunReport, kl1_machine::GcStats) {
+    let setup = Setup {
+        semispace_words: Some(semispace_words),
+        ..Setup::default()
+    };
+    let (report, _) = run_pim_with(bench, scale, config, setup);
+    let gc = report.machine.gc;
     (report, gc)
 }
 
@@ -375,48 +400,11 @@ pub fn run_pim_compiled(
     config: SystemConfig,
     options: fghc::CompileOptions,
 ) -> RunReport {
-    let pes = config.pes;
-    let block = config.geometry.block_words;
-    let mut cluster = build_cluster_with(bench, scale, pes, block, options);
-    let mut engine = Engine::new(PimSystem::new(config), pes);
-    let stats = engine
-        .run(&mut cluster, MAX_STEPS)
-        .unwrap_or_else(|e| panic!("{} simulation failed: {e}", bench.name()));
-    assert!(stats.finished, "{} exceeded the step budget", bench.name());
-    if let Some(msg) = cluster.failure() {
-        panic!("{} failed: {msg}", bench.name());
-    }
-    let answer = engine.with_port(PeId(0), |port| {
-        cluster
-            .extract(port, "R")
-            .unwrap_or_else(|| panic!("{}: query var R unbound", bench.name()))
-    });
-    validate(bench, scale, &answer);
-    let system = engine.into_system();
-    RunReport {
-        bench,
-        scale,
-        pes,
-        machine: cluster.stats(),
-        refs: system.ref_stats().clone(),
-        bus: system.bus_stats().clone(),
-        access: *system.access_stats(),
-        locks: *system.lock_stats(),
-        makespan: stats.makespan,
-        pe_cycles: stats.pe_cycles,
-        metrics: None,
-        answer,
-    }
-}
-
-fn validate(bench: Bench, scale: Scale, answer: &Term) {
-    let want = reference::expected(bench, scale);
-    assert_eq!(
-        answer,
-        &want,
-        "{} computed a wrong answer (got {answer}, want {want})",
-        bench.name()
-    );
+    let setup = Setup {
+        options,
+        ..Setup::default()
+    };
+    run_pim_with(bench, scale, config, setup).0
 }
 
 /// Runs `bench` on the flat (cache-less) port — the mode behind the
@@ -426,12 +414,9 @@ fn validate(bench: Bench, scale: Scale, answer: &Term) {
 ///
 /// Panics if the program fails or computes a wrong answer.
 pub fn run_flat(bench: Bench, scale: Scale, pes: u32) -> RunReport {
-    let mut cluster = build_cluster(bench, scale, pes, 4);
-    let port = kl1_machine::run_flat(&mut cluster, MAX_STEPS);
-    let answer = cluster
-        .extract(&port, "R")
-        .unwrap_or_else(|| panic!("{}: query var R unbound", bench.name()));
-    validate(bench, scale, &answer);
+    let (cluster, port) = flat_port_of(bench, scale, pes);
+    let answer = cluster.extract(&port, "R");
+    let answer = expect_run(bench, check_answer(bench, scale, answer));
     RunReport {
         bench,
         scale,
@@ -472,7 +457,9 @@ pub fn run_on_aligned<S: MemorySystem>(
     system: S,
     block_words: u64,
 ) -> (RunReport, S) {
-    run_on_observed(bench, scale, pes, system, block_words, None)
+    let setup = Setup::aligned(block_words);
+    let ctl = CellControl::default();
+    expect_run(bench, run_body(bench, scale, pes, system, setup, &ctl))
 }
 
 /// Like [`run_on_aligned`], with event-level metrics collection: the
@@ -486,105 +473,29 @@ pub fn run_on_profiled<S: MemorySystem>(
     block_words: u64,
 ) -> (RunReport, S) {
     let shared = SharedMetrics::new();
-    run_on_observed(bench, scale, pes, system, block_words, Some(&shared))
-}
-
-fn run_on_observed<S: MemorySystem>(
-    bench: Bench,
-    scale: Scale,
-    pes: u32,
-    system: S,
-    block_words: u64,
-    profile: Option<&SharedMetrics>,
-) -> (RunReport, S) {
-    run_on_sourced(bench, scale, pes, system, block_words, profile, None)
-}
-
-fn run_on_sourced<S: MemorySystem>(
-    bench: Bench,
-    scale: Scale,
-    pes: u32,
-    mut system: S,
-    block_words: u64,
-    profile: Option<&SharedMetrics>,
-    mut extra: Option<&mut dyn FnMut() -> Box<dyn Observer>>,
-) -> (RunReport, S) {
-    // One observer per component slot: the metrics sink, the caller's
-    // extra sink (e.g. an event tracer), or both fanned out.
-    let mut make = |profile: Option<&SharedMetrics>| -> Option<Box<dyn Observer>> {
-        match (profile, extra.as_mut()) {
-            (Some(s), Some(f)) => Some(Box::new(Fanout::from_sinks(vec![s.observer(), f()]))),
-            (Some(s), None) => Some(s.observer()),
-            (None, Some(f)) => Some(f()),
-            (None, None) => None,
-        }
+    let setup = Setup {
+        profile: Some(&shared),
+        ..Setup::aligned(block_words)
     };
-    let mut cluster = build_cluster(bench, scale, pes, block_words);
-    if let Some(obs) = make(profile) {
-        cluster.set_observer(obs);
-    }
-    if let Some(obs) = make(profile) {
-        system.set_observer(obs);
-    }
-    let mut engine = Engine::new(system, pes);
-    if let Some(obs) = make(profile) {
-        engine.set_observer(obs);
-    }
-    let stats = engine
-        .run(&mut cluster, MAX_STEPS)
-        .unwrap_or_else(|e| panic!("{} simulation failed: {e}", bench.name()));
-    assert!(stats.finished, "{} exceeded the step budget", bench.name());
-    if let Some(msg) = cluster.failure() {
-        panic!("{} failed: {msg}", bench.name());
-    }
-    let answer = engine.with_port(PeId(0), |port| {
-        cluster
-            .extract(port, "R")
-            .unwrap_or_else(|| panic!("{}: query var R unbound", bench.name()))
-    });
-    validate(bench, scale, &answer);
-    let system = engine.into_system();
-    let report = RunReport {
-        bench,
-        scale,
-        pes,
-        machine: cluster.stats(),
-        refs: system.ref_stats().clone(),
-        bus: system.bus_stats().clone(),
-        access: *system.access_stats(),
-        locks: *system.lock_stats(),
-        makespan: stats.makespan,
-        pe_cycles: stats.pe_cycles,
-        metrics: profile.map(SharedMetrics::take),
-        answer,
-    };
-    (report, system)
+    let ctl = CellControl::default();
+    expect_run(bench, run_body(bench, scale, pes, system, setup, &ctl))
 }
 
 /// Runs `bench` on the PIM cache with the given configuration.
 pub fn run_pim(bench: Bench, scale: Scale, config: SystemConfig) -> RunReport {
-    let pes = config.pes;
-    let block = config.geometry.block_words;
-    let system = PimSystem::new(config);
-    let (report, system) = run_on_aligned(bench, scale, pes, system, block);
-    system
-        .check_coherence_invariants()
-        .unwrap_or_else(|e| panic!("coherence invariants after run: {e}"));
-    report
+    checked(run_pim_with(bench, scale, config, Setup::default()))
 }
 
 /// Runs `bench` on the PIM cache with event-level metrics collection
 /// ([`RunReport::metrics`] is `Some`). Observation is passive: the
 /// simulated results are identical to [`run_pim`]'s.
 pub fn run_pim_profiled(bench: Bench, scale: Scale, config: SystemConfig) -> RunReport {
-    let pes = config.pes;
-    let block = config.geometry.block_words;
-    let system = PimSystem::new(config);
-    let (report, system) = run_on_profiled(bench, scale, pes, system, block);
-    system
-        .check_coherence_invariants()
-        .unwrap_or_else(|e| panic!("coherence invariants after run: {e}"));
-    report
+    let shared = SharedMetrics::new();
+    let setup = Setup {
+        profile: Some(&shared),
+        ..Setup::default()
+    };
+    checked(run_pim_with(bench, scale, config, setup))
 }
 
 /// Runs `bench` on the PIM cache with a caller-supplied observer
@@ -598,28 +509,31 @@ pub fn run_pim_observed(
     config: SystemConfig,
     make: &mut dyn FnMut() -> Box<dyn Observer>,
 ) -> RunReport {
-    let pes = config.pes;
-    let block = config.geometry.block_words;
-    let system = PimSystem::new(config);
-    let (report, system) = run_on_sourced(bench, scale, pes, system, block, None, Some(make));
-    system
-        .check_coherence_invariants()
-        .unwrap_or_else(|e| panic!("coherence invariants after run: {e}"));
-    report
+    let setup = Setup {
+        extra: Some(make),
+        ..Setup::default()
+    };
+    checked(run_pim_with(bench, scale, config, setup))
 }
 
 /// Runs `bench` on the Illinois baseline with the given configuration.
 pub fn run_illinois(bench: Bench, scale: Scale, config: SystemConfig) -> RunReport {
-    let pes = config.pes;
-    let block = config.geometry.block_words;
-    let system = IllinoisSystem::new(config);
-    run_on_aligned(bench, scale, pes, system, block).0
+    let (pes, block) = (config.pes, config.geometry.block_words);
+    run_on_aligned(bench, scale, pes, IllinoisSystem::new(config), block).0
 }
 
 /// Convenience: flat-port run returning only the raw port (for tests
 /// needing per-PE reference stats).
 pub fn flat_port_of(bench: Bench, scale: Scale, pes: u32) -> (Cluster, FlatPort) {
-    let mut cluster = build_cluster(bench, scale, pes, 4);
+    let config = ClusterConfig {
+        pes,
+        block_words: 4,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = expect_run(
+        bench,
+        build_cluster(bench, scale, config, Default::default()),
+    );
     let port = kl1_machine::run_flat(&mut cluster, MAX_STEPS);
     (cluster, port)
 }

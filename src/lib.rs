@@ -30,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod harness;
 pub mod report;
 
 pub use fghc;

@@ -67,56 +67,63 @@ fn assert_refused(out: &Output, what: &str) {
 #[test]
 fn tracesim_resume_is_invisible_at_every_pause_point() {
     let dir = tmpdir("pauses");
-    let full_report = dir.join("full.json");
-    let full_trace = dir.join("full.trace");
+    // Both protocols resume through the same harness.
+    for protocol in [&[][..], &["--illinois"][..]] {
+        let tag = protocol.first().map_or("pim", |_| "illinois");
+        let full_report = dir.join(format!("full-{tag}.json"));
+        let full_trace = dir.join(format!("full-{tag}.trace"));
 
-    let out = tracesim()
-        .args(["--gen", "producer-consumer", "--pes", "2"])
-        .args(["--report", full_report.to_str().unwrap()])
-        .args(["--trace", full_trace.to_str().unwrap()])
-        .output()
-        .expect("tracesim runs");
-    assert_ok(&out);
-
-    // Each cadence leaves `ck` holding a different last mid-run state.
-    // Instrumentation presence is part of the resume contract, so the
-    // checkpointed run carries the same --report/--trace flags.
-    for every in ["500", "2000", "3500"] {
-        let ck = dir.join(format!("mid{every}.ck"));
         let out = tracesim()
             .args(["--gen", "producer-consumer", "--pes", "2"])
-            .args(["--report", dir.join("ck.json").to_str().unwrap()])
-            .args(["--trace", dir.join("ck.trace").to_str().unwrap()])
-            .args(["--checkpoint", &format!("{}:every={every}", ck.display())])
+            .args(protocol)
+            .args(["--report", full_report.to_str().unwrap()])
+            .args(["--trace", full_trace.to_str().unwrap()])
             .output()
             .expect("tracesim runs");
         assert_ok(&out);
-        assert!(ck.exists(), "periodic checkpointing must leave a snapshot");
 
-        let report = dir.join(format!("res{every}.json"));
-        let trace = dir.join(format!("res{every}.trace"));
-        let out = tracesim()
-            .args(["--gen", "producer-consumer", "--pes", "2"])
-            .args(["--resume", ck.to_str().unwrap()])
-            .args(["--report", report.to_str().unwrap()])
-            .args(["--trace", trace.to_str().unwrap()])
-            .output()
-            .expect("tracesim runs");
-        assert_ok(&out);
-        assert_eq!(
-            std::fs::read(&full_trace).unwrap(),
-            std::fs::read(&trace).unwrap(),
-            "trace must be byte-identical after resume from every={every}"
-        );
-        assert_eq!(
-            modulo_checkpoint(&read(&full_report)),
-            modulo_checkpoint(&read(&report)),
-            "report must match modulo checkpoint block after resume from every={every}"
-        );
-        assert!(
-            read(&report).contains("\"resumed_from_cycle\":"),
-            "resumed report must carry checkpoint provenance"
-        );
+        // Each cadence leaves `ck` holding a different last mid-run state.
+        // Instrumentation presence is part of the resume contract, so the
+        // checkpointed run carries the same --report/--trace flags.
+        for every in ["500", "2000", "3500"] {
+            let ck = dir.join(format!("mid{every}-{tag}.ck"));
+            let out = tracesim()
+                .args(["--gen", "producer-consumer", "--pes", "2"])
+                .args(protocol)
+                .args(["--report", dir.join("ck.json").to_str().unwrap()])
+                .args(["--trace", dir.join("ck.trace").to_str().unwrap()])
+                .args(["--checkpoint", &format!("{}:every={every}", ck.display())])
+                .output()
+                .expect("tracesim runs");
+            assert_ok(&out);
+            assert!(ck.exists(), "periodic checkpointing must leave a snapshot");
+
+            let report = dir.join(format!("res{every}-{tag}.json"));
+            let trace = dir.join(format!("res{every}-{tag}.trace"));
+            let out = tracesim()
+                .args(["--gen", "producer-consumer", "--pes", "2"])
+                .args(protocol)
+                .args(["--resume", ck.to_str().unwrap()])
+                .args(["--report", report.to_str().unwrap()])
+                .args(["--trace", trace.to_str().unwrap()])
+                .output()
+                .expect("tracesim runs");
+            assert_ok(&out);
+            assert_eq!(
+                std::fs::read(&full_trace).unwrap(),
+                std::fs::read(&trace).unwrap(),
+                "trace must be byte-identical after resume from every={every}"
+            );
+            assert_eq!(
+                modulo_checkpoint(&read(&full_report)),
+                modulo_checkpoint(&read(&report)),
+                "report must match modulo checkpoint block after resume from every={every}"
+            );
+            assert!(
+                read(&report).contains("\"resumed_from_cycle\":"),
+                "resumed report must carry checkpoint provenance"
+            );
+        }
     }
 }
 
@@ -163,48 +170,55 @@ fn tracesim_resume_is_invisible_under_fault_injection() {
 #[test]
 fn kl1run_resume_reproduces_answer_and_profile() {
     let dir = tmpdir("kl1run");
-    let full_profile = dir.join("full.json");
-    let ck = dir.join("mid.ck");
+    // Both protocols resume through the same harness.
+    for protocol in [&[][..], &["--illinois"][..]] {
+        let tag = protocol.first().map_or("pim", |_| "illinois");
+        let full_profile = dir.join(format!("full-{tag}.json"));
+        let ck = dir.join(format!("mid-{tag}.ck"));
 
-    let out = kl1run()
-        .args(["--pes", "4"])
-        .args(["--profile", full_profile.to_str().unwrap()])
-        .arg("examples/fghc/hanoi.fghc")
-        .output()
-        .expect("kl1run runs");
-    assert_ok(&out);
-    let answer = String::from_utf8_lossy(&out.stdout).trim().to_string();
-    assert_eq!(answer, "X = 1023");
+        let out = kl1run()
+            .args(["--pes", "4"])
+            .args(protocol)
+            .args(["--profile", full_profile.to_str().unwrap()])
+            .arg("examples/fghc/hanoi.fghc")
+            .output()
+            .expect("kl1run runs");
+        assert_ok(&out);
+        let answer = String::from_utf8_lossy(&out.stdout).trim().to_string();
+        assert_eq!(answer, "X = 1023");
 
-    let out = kl1run()
-        .args(["--pes", "4"])
-        .args(["--profile", dir.join("ck.json").to_str().unwrap()])
-        .args(["--checkpoint", &format!("{}:every=10000", ck.display())])
-        .arg("examples/fghc/hanoi.fghc")
-        .output()
-        .expect("kl1run runs");
-    assert_ok(&out);
-    assert!(ck.exists());
+        let out = kl1run()
+            .args(["--pes", "4"])
+            .args(protocol)
+            .args(["--profile", dir.join("ck.json").to_str().unwrap()])
+            .args(["--checkpoint", &format!("{}:every=10000", ck.display())])
+            .arg("examples/fghc/hanoi.fghc")
+            .output()
+            .expect("kl1run runs");
+        assert_ok(&out);
+        assert!(ck.exists());
 
-    let profile = dir.join("res.json");
-    let out = kl1run()
-        .args(["--pes", "4"])
-        .args(["--resume", ck.to_str().unwrap()])
-        .args(["--profile", profile.to_str().unwrap()])
-        .arg("examples/fghc/hanoi.fghc")
-        .output()
-        .expect("kl1run runs");
-    assert_ok(&out);
-    assert_eq!(
-        String::from_utf8_lossy(&out.stdout).trim(),
-        answer,
-        "resumed run must print the same answer"
-    );
-    assert_eq!(
-        modulo_checkpoint(&read(&full_profile)),
-        modulo_checkpoint(&read(&profile)),
-        "resumed profile must match modulo checkpoint block"
-    );
+        let profile = dir.join(format!("res-{tag}.json"));
+        let out = kl1run()
+            .args(["--pes", "4"])
+            .args(protocol)
+            .args(["--resume", ck.to_str().unwrap()])
+            .args(["--profile", profile.to_str().unwrap()])
+            .arg("examples/fghc/hanoi.fghc")
+            .output()
+            .expect("kl1run runs");
+        assert_ok(&out);
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout).trim(),
+            answer,
+            "resumed run must print the same answer"
+        );
+        assert_eq!(
+            modulo_checkpoint(&read(&full_profile)),
+            modulo_checkpoint(&read(&profile)),
+            "resumed profile must match modulo checkpoint block"
+        );
+    }
 }
 
 #[test]

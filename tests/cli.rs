@@ -139,13 +139,15 @@ fn tracesim_replays_a_trace_file() {
 
 #[test]
 fn kl1run_rejects_zero_pes_with_named_flag() {
-    let out = kl1run()
-        .args(["--pes", "0", "examples/fghc/hanoi.fghc"])
-        .output()
-        .expect("runs");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--pes"), "{stderr}");
+    for flag in ["--pes", "--gc"] {
+        let out = kl1run()
+            .args([flag, "0", "examples/fghc/hanoi.fghc"])
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{stderr}");
+    }
 }
 
 #[test]
@@ -191,14 +193,30 @@ fn tracesim_rejects_too_small_pes_instead_of_clamping() {
 
 #[test]
 fn tracesim_rejects_zero_pes_and_threads() {
-    for flag in ["--pes", "--threads"] {
+    // Beside zero, values that used to wrap silently (a PE count past
+    // u32) or panic (cache shapes the geometry cannot build, a zero-width
+    // bus) are flag errors too.
+    for (flag, value) in [
+        ("--pes", "0"),
+        ("--threads", "0"),
+        ("--pes", "4294967296"),
+        ("--pes", "4294967297"),
+        ("--block", "3"),
+        ("--block", "0"),
+        ("--capacity", "0"),
+        ("--capacity", "12"),
+        ("--ways", "0"),
+        ("--ways", "3"),
+        ("--bus-width", "0"),
+    ] {
         let out = tracesim()
-            .args(["--gen", "aurora", flag, "0"])
+            .args(["--gen", "aurora", flag, value])
             .output()
             .expect("runs");
-        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(flag), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
     }
     // tracesim has no --threads: any value is an unknown flag.
     let out = tracesim()
@@ -622,6 +640,8 @@ fn generous_timeout_leaves_results_untouched() {
         String::from_utf8_lossy(&out.stdout).trim().to_string()
     };
     assert_eq!(run(&["--timeout", "300"]), run(&[]));
+    // A deadline too far out to represent is no deadline, not a panic.
+    assert_eq!(run(&["--timeout", "18446744073709551615"]), run(&[]));
 }
 
 #[test]
