@@ -91,7 +91,56 @@ impl Layout {
     pub fn map(&self) -> &AreaMap {
         &self.map
     }
+
+    /// Checks a semispace size for stop-and-copy GC: `requested` words,
+    /// rounded up to block alignment, two of which must fit a PE's heap
+    /// slice. Returns the rounded size.
+    ///
+    /// # Errors
+    ///
+    /// [`SemispaceTooLarge`], naming the largest size that fits, when
+    /// they do not fit or the rounding overflows.
+    pub fn semispace_words(&self, requested: u64) -> Result<u64, SemispaceTooLarge> {
+        let (lo, hi) = self.slice(StorageArea::Heap, PeId(0));
+        let slice = hi - lo;
+        requested
+            .checked_next_multiple_of(self.align)
+            .filter(|&n| n.checked_mul(2).is_some_and(|both| both <= slice))
+            .ok_or(SemispaceTooLarge {
+                requested,
+                slice,
+                max: slice / 2 / self.align * self.align,
+            })
+    }
 }
+
+/// A semispace size whose two semispaces do not fit a PE's heap slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SemispaceTooLarge {
+    /// The requested semispace words.
+    pub requested: u64,
+    /// Words in each PE's heap slice.
+    pub slice: u64,
+    /// The largest semispace size that fits.
+    pub max: u64,
+}
+
+impl std::fmt::Display for SemispaceTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let SemispaceTooLarge {
+            requested,
+            slice,
+            max,
+        } = self;
+        write!(
+            f,
+            "two {requested}-word semispaces exceed the {slice}-word heap slice \
+             (at most {max} words fit)"
+        )
+    }
+}
+
+impl std::error::Error for SemispaceTooLarge {}
 
 /// One PE's allocation state.
 #[derive(Debug, Clone)]
@@ -139,16 +188,13 @@ impl PeAllocators {
     ///
     /// # Panics
     ///
-    /// Panics if two semispaces do not fit the heap slice.
+    /// Panics if two semispaces do not fit the heap slice (see
+    /// [`Layout::semispace_words`]).
     pub fn with_semispace(layout: &Layout, pe: PeId, semispace_words: Option<u64>) -> PeAllocators {
         let mut a = PeAllocators::new(layout, pe);
         if let Some(n) = semispace_words {
-            let n = n.div_ceil(layout.align) * layout.align;
-            let (lo, hi) = layout.slice(StorageArea::Heap, pe);
-            assert!(
-                lo + 2 * n <= hi,
-                "two {n}-word semispaces exceed the heap slice"
-            );
+            let n = layout.semispace_words(n).unwrap_or_else(|e| panic!("{e}"));
+            let lo = layout.slice(StorageArea::Heap, pe).0;
             a.heap_next = lo;
             a.heap_limit = lo + n;
             a.semi = Some((lo, n, true));
@@ -495,6 +541,21 @@ mod tests {
                     "align={align}: slots {w:?} overlap"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn semispace_sizes_are_checked_up_to_the_largest_that_fits() {
+        let l = layout();
+        let max = l.semispace_words(u64::MAX).unwrap_err().max;
+        assert_eq!(l.semispace_words(max), Ok(max));
+        let a = PeAllocators::with_semispace(&l, PeId(7), Some(max));
+        assert_eq!(a.heap_remaining(), max);
+        // One word more rounds up past half the slice; u64::MAX
+        // overflows the round-up itself.
+        for requested in [max + 1, u64::MAX] {
+            let err = l.semispace_words(requested).unwrap_err();
+            assert_eq!((err.requested, err.max), (requested, max));
         }
     }
 

@@ -15,7 +15,7 @@
 //! `ER`, exactly the cache-to-cache pattern the PIM commands optimize.
 
 use crate::error::MachineError;
-use crate::layout::{Layout, PeAllocators};
+use crate::layout::{Layout, PeAllocators, SemispaceTooLarge};
 use crate::words::Tagged;
 use fghc::instr::{CodeAddr, CompiledProgram, ProcId};
 use fghc::Term;
@@ -61,6 +61,25 @@ pub struct ClusterConfig {
     /// semispaces; `None` (the default) gives each PE its whole slice and
     /// never collects.
     pub heap_semispace_words: Option<u64>,
+}
+
+impl ClusterConfig {
+    /// Checks [`ClusterConfig::heap_semispace_words`] against the heap
+    /// slices of this configuration's layout, before any cluster is
+    /// built: [`Cluster::new`] panics on a size that does not fit.
+    ///
+    /// # Errors
+    ///
+    /// [`SemispaceTooLarge`] when two semispaces exceed a PE's heap
+    /// slice.
+    pub fn check_semispace(&self) -> Result<(), SemispaceTooLarge> {
+        let Some(words) = self.heap_semispace_words else {
+            return Ok(());
+        };
+        // The heap slices do not depend on the program's arity.
+        let layout = Layout::new(self.area_map.clone(), self.pes, 0, self.block_words);
+        layout.semispace_words(words).map(drop)
+    }
 }
 
 impl Default for ClusterConfig {
@@ -174,7 +193,8 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if the compiled code does not fit the instruction area.
+    /// Panics if the compiled code does not fit the instruction area, or
+    /// if [`ClusterConfig::check_semispace`] refuses the configuration.
     pub fn new(program: CompiledProgram, config: ClusterConfig) -> Cluster {
         let max_arity = program
             .proc_names

@@ -2,7 +2,7 @@
 //! engine, one per PE.
 
 use crate::{Process, StepOutcome};
-use pim_trace::{Access, MemoryPort, PeId, PortValue, Word};
+use pim_trace::{Access, Addr, MemOp, MemoryPort, PeId, PortValue, Word};
 
 /// A [`Process`] that replays per-PE access streams in order.
 ///
@@ -12,30 +12,72 @@ use pim_trace::{Access, MemoryPort, PeId, PortValue, Word};
 /// are functionally self-consistent.
 #[derive(Debug, Clone)]
 pub struct Replayer {
-    streams: Vec<Vec<Access>>,
+    streams: Vec<Stream>,
     cursors: Vec<usize>,
+}
+
+/// One PE's accesses as two columns, 9 bytes an access: replay reads
+/// only the operation and the address, never the PE or the area.
+#[derive(Debug, Clone)]
+struct Stream {
+    ops: Vec<MemOp>,
+    addrs: Vec<Addr>,
+}
+
+impl Stream {
+    fn with_capacity(n: usize) -> Stream {
+        Stream {
+            ops: Vec::with_capacity(n),
+            addrs: Vec::with_capacity(n),
+        }
+    }
+
+    fn push(&mut self, a: &Access) {
+        self.ops.push(a.op);
+        self.addrs.push(a.addr);
+    }
+
+    fn len(&self) -> usize {
+        self.ops.len()
+    }
 }
 
 impl Replayer {
     /// Builds a replayer from one access stream per PE.
     pub fn new(streams: Vec<Vec<Access>>) -> Replayer {
+        let streams: Vec<Stream> = streams
+            .iter()
+            .map(|s| {
+                let mut stream = Stream::with_capacity(s.len());
+                s.iter().for_each(|a| stream.push(a));
+                stream
+            })
+            .collect();
         let cursors = vec![0; streams.len()];
         Replayer { streams, cursors }
     }
 
     /// Splits a merged trace by issuing PE. `pes` fixes the PE count (PEs
     /// with no accesses get empty streams).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace references a PE at or beyond `pes`.
     pub fn from_merged(trace: &[Access], pes: u32) -> Replayer {
-        let mut streams = vec![Vec::new(); pes as usize];
-        for &a in trace {
-            assert!(
-                a.pe.index() < streams.len(),
-                "trace references {} beyond {pes} PEs",
-                a.pe
-            );
+        // Count first, so every stream is allocated once at its size.
+        let mut lens = vec![0usize; pes as usize];
+        for a in trace {
+            let Some(len) = lens.get_mut(a.pe.index()) else {
+                panic!("trace references {} beyond {pes} PEs", a.pe);
+            };
+            *len += 1;
+        }
+        let mut streams: Vec<Stream> = lens.into_iter().map(Stream::with_capacity).collect();
+        for a in trace {
             streams[a.pe.index()].push(a);
         }
-        Replayer::new(streams)
+        let cursors = vec![0; streams.len()];
+        Replayer { streams, cursors }
     }
 
     /// Checkpoint hook: serializes the replay cursors. The streams
@@ -110,7 +152,8 @@ impl Process for Replayer {
     fn step(&mut self, pe: PeId, port: &mut dyn MemoryPort) -> StepOutcome {
         let i = pe.index();
         let cursor = self.cursors[i];
-        match self.streams[i].get(cursor) {
+        let stream = &self.streams[i];
+        match stream.ops.get(cursor) {
             None => {
                 if self.remaining() == 0 {
                     StepOutcome::Finished
@@ -118,14 +161,14 @@ impl Process for Replayer {
                     StepOutcome::Idle
                 }
             }
-            Some(&access) => {
-                let data = if access.op.is_write() {
+            Some(&op) => {
+                let data = if op.is_write() {
                     // Deterministic, position-derived payload.
                     Some((i as Word) << 32 | cursor as Word)
                 } else {
                     None
                 };
-                match port.op(access.op, access.addr, data) {
+                match port.op(op, stream.addrs[cursor], data) {
                     PortValue::Stall => StepOutcome::Stalled,
                     PortValue::Value(_) => {
                         self.cursors[i] = cursor + 1;
@@ -142,7 +185,7 @@ mod tests {
     use super::*;
     use crate::Engine;
     use pim_cache::{PimSystem, SystemConfig};
-    use pim_trace::{AreaMap, MemOp, StorageArea};
+    use pim_trace::{AreaMap, StorageArea};
 
     fn heap_access(pe: u32, op: MemOp, off: u64) -> Access {
         let map = AreaMap::standard();

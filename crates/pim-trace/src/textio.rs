@@ -20,7 +20,7 @@
 
 use crate::{Access, Addr, MemOp, PeId, StorageArea};
 use std::fmt::Write as _;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Write};
 
 /// An error while parsing a trace line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,64 +68,190 @@ pub fn write_trace<W: Write>(out: &mut W, trace: &[Access]) -> std::io::Result<(
     Ok(())
 }
 
-fn parse_op(s: &str) -> Option<MemOp> {
-    MemOp::ALL.into_iter().find(|op| op.mnemonic() == s)
+fn parse_op(s: &[u8]) -> Option<MemOp> {
+    MemOp::ALL
+        .into_iter()
+        .find(|op| op.mnemonic().as_bytes() == s)
 }
 
-fn parse_area(s: &str) -> Option<StorageArea> {
-    StorageArea::ALL.into_iter().find(|a| a.label() == s)
+fn parse_area(s: &[u8]) -> Option<StorageArea> {
+    StorageArea::ALL
+        .into_iter()
+        .find(|a| a.label().as_bytes() == s)
 }
 
 /// Parses a trace written by [`write_trace`]. Empty lines and lines
 /// starting with `#` are skipped.
 ///
+/// The reader parses the input's buffered bytes in place and allocates
+/// nothing per line. A line in exactly the form [`write_trace`] emits is
+/// decoded in one pass; every other line (comments, other whitespace,
+/// CRLF, signs, decimal or upper-case addresses, malformed lines) goes
+/// to [`parse_line`], the one definition of the grammar and of every
+/// diagnostic. Each buffer's lines are reserved before it is parsed, so
+/// an in-memory trace is read into an exactly sized vector.
+///
 /// # Errors
 ///
 /// Returns a positioned [`ParseTraceError`] on malformed lines, and wraps
 /// I/O errors in the same type.
-pub fn read_trace<R: BufRead>(input: R) -> Result<Vec<Access>, ParseTraceError> {
+pub fn read_trace<R: BufRead>(mut input: R) -> Result<Vec<Access>, ParseTraceError> {
     let mut out = Vec::new();
-    for (i, line) in input.lines().enumerate() {
-        let lineno = i + 1;
-        let line = line.map_err(|e| ParseTraceError {
-            file: None,
-            line: lineno,
-            message: e.to_string(),
-        })?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let err = |message: &str| ParseTraceError {
-            file: None,
-            line: lineno,
-            message: message.to_string(),
+    // The start of a line the previous buffer ended in.
+    let mut partial = Vec::new();
+    let mut lineno = 0;
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok([]) => break,
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(error_at(lineno + 1, e.to_string())),
         };
-        let pe: u32 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| err("bad PE id"))?;
-        let op = parts
-            .next()
-            .and_then(parse_op)
-            .ok_or_else(|| err("bad operation mnemonic"))?;
-        let addr_str = parts.next().ok_or_else(|| err("missing address"))?;
-        let addr: Addr = if let Some(hex) = addr_str.strip_prefix("0x") {
-            Addr::from_str_radix(hex, 16).map_err(|_| err("bad hex address"))?
-        } else {
-            addr_str.parse().map_err(|_| err("bad address"))?
-        };
-        let area = parts
-            .next()
-            .and_then(parse_area)
-            .ok_or_else(|| err("bad storage area"))?;
-        if parts.next().is_some() {
-            return Err(err("trailing fields"));
+        out.reserve(count_newlines(chunk) + usize::from(!chunk.ends_with(b"\n")));
+        let mut rest = chunk;
+        if !partial.is_empty() {
+            match rest.iter().position(|&b| b == b'\n') {
+                Some(nl) => {
+                    partial.extend_from_slice(&rest[..nl]);
+                    rest = &rest[nl + 1..];
+                    lineno += 1;
+                    out.extend(parse_line(&partial, lineno)?);
+                    partial.clear();
+                }
+                None => {
+                    partial.extend_from_slice(rest);
+                    rest = &[];
+                }
+            }
         }
-        out.push(Access::new(PeId(pe), op, addr, area));
+        while !rest.is_empty() {
+            if let Some((access, len)) = canonical_line(rest) {
+                lineno += 1;
+                out.push(access);
+                rest = &rest[len..];
+            } else if let Some(nl) = rest.iter().position(|&b| b == b'\n') {
+                lineno += 1;
+                out.extend(parse_line(&rest[..nl], lineno)?);
+                rest = &rest[nl + 1..];
+            } else {
+                partial.extend_from_slice(rest);
+                break;
+            }
+        }
+        let n = chunk.len();
+        input.consume(n);
+    }
+    if !partial.is_empty() {
+        out.extend(parse_line(&partial, lineno + 1)?);
     }
     Ok(out)
+}
+
+/// Decodes a line in exactly the form [`write_trace`] emits: `PE OP
+/// 0xHEX AREA\n` with single spaces, lower-case hex, at most 10 PE
+/// digits and at most 16 hex digits. Returns the access and the bytes
+/// the line takes, or `None` for any other line. It accepts only lines
+/// that [`parse_line`] reads to the same access, so it is a pure
+/// shortcut.
+#[inline]
+fn canonical_line(s: &[u8]) -> Option<(Access, usize)> {
+    let mut i = 0;
+    // Ten digits can exceed a u32: accumulate wider, check below.
+    let mut pe = 0u64;
+    while let Some(&d @ b'0'..=b'9') = s.get(i) {
+        if i == 10 {
+            return None;
+        }
+        pe = pe * 10 + u64::from(d - b'0');
+        i += 1;
+    }
+    let pe = u32::try_from(pe).ok().filter(|_| i > 0)?;
+    if s.get(i) != Some(&b' ') {
+        return None;
+    }
+    i += 1;
+    let op_len = s.get(i..)?.iter().take(4).position(|&b| b == b' ')?;
+    let op = parse_op(&s[i..i + op_len])?;
+    i += op_len + 1;
+    if s.get(i..i + 2)? != b"0x" {
+        return None;
+    }
+    i += 2;
+    let digits = i;
+    let mut addr: Addr = 0;
+    loop {
+        let d = match s.get(i) {
+            Some(&b @ b'0'..=b'9') => b - b'0',
+            Some(&b @ b'a'..=b'f') => b - b'a' + 10,
+            _ => break,
+        };
+        if i - digits == 16 {
+            return None;
+        }
+        addr = addr << 4 | Addr::from(d);
+        i += 1;
+    }
+    if i == digits || s.get(i) != Some(&b' ') {
+        return None;
+    }
+    i += 1;
+    let area_len = s.get(i..)?.iter().take(5).position(|&b| b == b'\n')?;
+    let area = parse_area(&s[i..i + area_len])?;
+    Some((Access::new(PeId(pe), op, addr, area), i + area_len + 1))
+}
+
+/// `\n` bytes in `s`, counted in byte-wide lanes the compiler can
+/// vectorize: a plain `filter().count()` is several times slower.
+fn count_newlines(s: &[u8]) -> usize {
+    s.chunks(usize::from(u8::MAX))
+        .map(|c| usize::from(c.iter().fold(0u8, |n, &b| n + u8::from(b == b'\n'))))
+        .sum()
+}
+
+fn error_at(line: usize, message: impl Into<String>) -> ParseTraceError {
+    ParseTraceError {
+        file: None,
+        line,
+        message: message.into(),
+    }
+}
+
+/// Parses line `lineno` of a trace, without its `\n`: `None` for a
+/// blank line or a comment. The trace grammar: fields separated by any
+/// Unicode whitespace, a decimal PE id, an operation mnemonic, a decimal
+/// or `0x`-prefixed hex address (a `+` sign allowed) and a storage-area
+/// label.
+fn parse_line(bytes: &[u8], lineno: usize) -> Result<Option<Access>, ParseTraceError> {
+    let err = |message: &str| error_at(lineno, message);
+    // The message `BufRead::lines` gives for the same bytes.
+    let line = std::str::from_utf8(bytes).map_err(|_| err("stream did not contain valid UTF-8"))?;
+    let line = line.trim();
+    if line.is_empty() || line.starts_with('#') {
+        return Ok(None);
+    }
+    let mut parts = line.split_whitespace();
+    let pe: u32 = parts
+        .next()
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| err("bad PE id"))?;
+    let op = parts
+        .next()
+        .and_then(|s| parse_op(s.as_bytes()))
+        .ok_or_else(|| err("bad operation mnemonic"))?;
+    let addr_str = parts.next().ok_or_else(|| err("missing address"))?;
+    let addr: Addr = if let Some(hex) = addr_str.strip_prefix("0x") {
+        Addr::from_str_radix(hex, 16).map_err(|_| err("bad hex address"))?
+    } else {
+        addr_str.parse().map_err(|_| err("bad address"))?
+    };
+    let area = parts
+        .next()
+        .and_then(|s| parse_area(s.as_bytes()))
+        .ok_or_else(|| err("bad storage area"))?;
+    if parts.next().is_some() {
+        return Err(err("trailing fields"));
+    }
+    Ok(Some(Access::new(PeId(pe), op, addr, area)))
 }
 
 /// Opens and parses a trace file, attaching the file name to every

@@ -100,6 +100,14 @@ fn main() {
         positional: Vec::new(),
     };
     let mut h = Harness::parse(TOOL, |flag, args| o.set(flag, args));
+    let cluster_config = ClusterConfig {
+        pes: o.pes,
+        heap_semispace_words: o.gc,
+        ..Default::default()
+    };
+    if let Err(e) = cluster_config.check_semispace() {
+        h.fail(format_args!("--gc {}: {e}", e.requested));
+    }
     let (file, goal) = match o.positional.as_slice() {
         [file] => (file.clone(), "main".to_string()),
         [file, goal] => (file.clone(), goal.clone()),
@@ -131,14 +139,7 @@ fn main() {
         return;
     }
 
-    let mut cluster = Cluster::new(
-        program,
-        ClusterConfig {
-            pes: o.pes,
-            heap_semispace_words: o.gc,
-            ..Default::default()
-        },
-    );
+    let mut cluster = Cluster::new(program, cluster_config);
     // Prefer goal/1 with a result variable; fall back to goal/0.
     let arity1 = cluster.program().lookup(&goal, 1).is_some();
     let query = if arity1 {

@@ -41,6 +41,7 @@ use pim_repro::harness::{Args, Harness, Tool};
 use pim_repro::report;
 use pim_sim::{IllinoisSystem, MemorySystem, Replayer};
 use pim_trace::{Access, StorageArea};
+use std::io::Write as _;
 
 const TOOL: Tool = Tool {
     name: "tracesim",
@@ -81,6 +82,27 @@ impl Options {
             _ => return false,
         }
         true
+    }
+
+    /// The configuration digest's prefix: the tool and its domain flags,
+    /// with the PE count the trace settled.
+    fn digest_prefix(&self, pes: u32) -> String {
+        format!(
+            "tracesim|pes={pes}|illinois={}|no_opt={}|block={}|capacity={}|ways={}|bus_width={}|",
+            self.illinois, self.no_opt, self.block, self.capacity, self.ways, self.bus_width
+        )
+    }
+}
+
+/// Appends the trace to the configuration digest's bytes: per access
+/// the PE and address in little-endian, then `{op:?}/{area:?};`.
+fn digest_trace(bytes: &mut Vec<u8>, trace: &[Access]) {
+    bytes.reserve(trace.len() * 24);
+    for a in trace {
+        bytes.extend_from_slice(&a.pe.0.to_le_bytes());
+        bytes.extend_from_slice(&a.addr.to_le_bytes());
+        // Writing to a `Vec` cannot fail.
+        let _ = write!(bytes, "{:?}/{:?};", a.op, a.area);
     }
 }
 
@@ -157,20 +179,7 @@ fn main() {
         },
         ..SystemConfig::default()
     };
-    h.pin_config(
-        &format!(
-            "tracesim|pes={pes}|illinois={}|no_opt={}|block={}|capacity={}|ways={}|bus_width={}|",
-            o.illinois, o.no_opt, o.block, o.capacity, o.ways, o.bus_width
-        ),
-        |bytes| {
-            bytes.reserve(trace.len() * 24);
-            for a in &trace {
-                bytes.extend_from_slice(&a.pe.0.to_le_bytes());
-                bytes.extend_from_slice(&a.addr.to_le_bytes());
-                bytes.extend_from_slice(format!("{:?}/{:?};", a.op, a.area).as_bytes());
-            }
-        },
-    );
+    h.pin_config(&o.digest_prefix(pes), |bytes| digest_trace(bytes, &trace));
     h.open_outputs();
 
     let makespan = if o.illinois {
@@ -293,4 +302,52 @@ fn summarize(
         );
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pim_repro::harness::{config_digest, RunFlags};
+    use pim_trace::{MemOp, PeId};
+
+    /// The digest a checkpoint carries is part of its format: a
+    /// checkpoint written by an earlier build must still resume. The
+    /// value was computed by the build that still formatted each access
+    /// through a temporary `String`.
+    #[test]
+    fn config_digest_is_pinned() {
+        let trace = [
+            Access::new(PeId(0), MemOp::DirectWrite, 0x1100_0000, StorageArea::Goal),
+            Access::new(PeId(1), MemOp::LockRead, 0x100_0040, StorageArea::Heap),
+            Access::new(PeId(1), MemOp::WriteUnlock, 0x100_0040, StorageArea::Heap),
+            Access::new(
+                PeId(0),
+                MemOp::ExclusiveRead,
+                0x3000_0007,
+                StorageArea::Communication,
+            ),
+        ];
+        let o = Options {
+            pes: Some(2),
+            illinois: true,
+            no_opt: false,
+            block: 4,
+            capacity: 1024,
+            ways: 2,
+            bus_width: 1,
+            generator: None,
+            file: Some("four.trace".into()),
+        };
+        let flags = RunFlags {
+            faults: Some(pim_fault::FaultConfig::parse_spec("seed=7,rate=0.01").expect("spec")),
+            report: Some("r.json".into()),
+            trace: Some("t.json:cap=500".into()),
+            checkpoint: Some("c.ckpt:every=2".into()),
+            ..RunFlags::default()
+        };
+        let digest = config_digest(&TOOL, &flags, &o.digest_prefix(2), |bytes| {
+            digest_trace(bytes, &trace)
+        });
+        assert_eq!(digest, 0x19f5_cddc_e746_5538);
+    }
 }

@@ -160,6 +160,31 @@ impl Args {
     }
 }
 
+/// The configuration digest a tool's snapshots carry: the tool's
+/// `prefix` (its name and domain flags), then the run flags that shape
+/// results, then the input `input` appends. The output paths stay out;
+/// the trace ring's capacity, which shapes the recorded events, goes in.
+pub fn config_digest(
+    tool: &Tool,
+    flags: &RunFlags,
+    prefix: &str,
+    input: impl FnOnce(&mut Vec<u8>),
+) -> u64 {
+    let trace_cap = flags
+        .trace
+        .as_deref()
+        .map(|s| pim_tracer::parse_trace_spec(s).ok().map(|(_, cap)| cap));
+    let mut bytes = format!(
+        "{prefix}faults={:?}|{}={}|trace_cap={trace_cap:?}|",
+        flags.faults,
+        tool.report_flag.trim_start_matches('-'),
+        flags.report.is_some(),
+    )
+    .into_bytes();
+    input(&mut bytes);
+    pim_ckpt::fnv1a64(&bytes)
+}
+
 /// Prints `tool: msg` and exits 2, the exit code of every bad flag.
 fn fail(tool: &str, msg: impl Display) -> ! {
     eprintln!("{tool}: {msg}");
@@ -351,26 +376,13 @@ impl Harness {
     }
 
     /// Pins the run configuration into every snapshot, so a resume under
-    /// different conditions is refused instead of silently diverging:
-    /// the tool's `prefix` (its name and domain flags), then the run
-    /// flags that shape results, then the input `input` appends. The
-    /// output paths stay out; the trace ring's capacity, which shapes the
-    /// recorded events, goes in.
+    /// different conditions is refused instead of silently diverging
+    /// (see [`config_digest`]). Only a snapshot or a resume reads the
+    /// digest, so without --checkpoint and --resume nothing is built.
     pub fn pin_config(&mut self, prefix: &str, input: impl FnOnce(&mut Vec<u8>)) {
-        let trace_cap = self
-            .flags
-            .trace
-            .as_deref()
-            .map(|s| pim_tracer::parse_trace_spec(s).ok().map(|(_, cap)| cap));
-        let mut bytes = format!(
-            "{prefix}faults={:?}|{}={}|trace_cap={trace_cap:?}|",
-            self.flags.faults,
-            self.tool.report_flag.trim_start_matches('-'),
-            self.flags.report.is_some(),
-        )
-        .into_bytes();
-        input(&mut bytes);
-        self.config_digest = pim_ckpt::fnv1a64(&bytes);
+        if self.flags.checkpoint.is_some() || self.flags.resume.is_some() {
+            self.config_digest = config_digest(&self.tool, &self.flags, prefix, input);
+        }
     }
 
     /// Starts live telemetry when `--status` or `--metrics` asks for it:

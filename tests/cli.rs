@@ -139,14 +139,22 @@ fn tracesim_replays_a_trace_file() {
 
 #[test]
 fn kl1run_rejects_zero_pes_with_named_flag() {
-    for flag in ["--pes", "--gc"] {
+    // Semispaces past the heap slice, and one whose block round-up
+    // overflows, are flag errors too, not panics.
+    for (flag, value) in [
+        ("--pes", "0"),
+        ("--gc", "0"),
+        ("--gc", "100000000"),
+        ("--gc", "18446744073709551615"),
+    ] {
         let out = kl1run()
-            .args([flag, "0", "examples/fghc/hanoi.fghc"])
+            .args([flag, value, "examples/fghc/hanoi.fghc"])
             .output()
             .expect("runs");
         assert_eq!(out.status.code(), Some(2));
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(flag), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
     }
 }
 
