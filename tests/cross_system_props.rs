@@ -76,12 +76,15 @@ fn run_sys_answer<S: MemorySystem + 'static>(
 // ---------------------------------------------------------------------
 // Pinned replay reports.
 //
-// Each workload trace is replayed through the engine and the resulting
+// Each workload trace is replayed through the engine on both memory
+// systems, PIM and the Illinois baseline, and each resulting
 // `pim-repro/v1` report document is pinned by an FNV-1a digest:
 // determinism down to the serialized artifact, not just the headline
-// numbers. The digests are also the reports the workspace's former
+// numbers. The PIM digests are also the reports the workspace's former
 // parallel engine produced at 1, 2, 4 and 8 worker threads, all
 // byte-identical, so a replay that reproduces them matches every one.
+// The Illinois digests were computed on the Illinois system before it
+// shared PIM's coherence engine, so they pin that refactor too.
 // ---------------------------------------------------------------------
 
 /// Captures the memory-access trace of a Table-1 benchmark run at smoke
@@ -116,18 +119,30 @@ fn capture_bench_trace(bench: Bench, pes: u32) -> Vec<Access> {
     engine.take_trace()
 }
 
-/// The full serialized `pim-repro/v1` report of one replay (envelope,
-/// memory statistics, and per-PE cycle accounts, in the stable pretty
-/// form the CLI tools write to disk), digested with FNV-1a.
-fn replay_report_digest(trace: &[Access], pes: u32) -> u64 {
-    let mut replayer = Replayer::from_merged(trace, pes);
-    let mut engine = Engine::new(
-        PimSystem::new(SystemConfig {
-            pes,
-            ..Default::default()
-        }),
+/// The memory system a replay report is pinned for.
+#[derive(Debug, Clone, Copy)]
+enum System {
+    Pim,
+    Illinois,
+}
+
+/// The full serialized `pim-repro/v1` report of one replay on `system`
+/// (envelope, memory statistics, and per-PE cycle accounts, in the
+/// stable pretty form the CLI tools write to disk), digested with FNV-1a.
+fn replay_report_digest(trace: &[Access], pes: u32, system: System) -> u64 {
+    let config = SystemConfig {
         pes,
-    );
+        ..Default::default()
+    };
+    match system {
+        System::Pim => report_digest(trace, pes, PimSystem::new(config)),
+        System::Illinois => report_digest(trace, pes, IllinoisSystem::new(config)),
+    }
+}
+
+fn report_digest<S: MemorySystem>(trace: &[Access], pes: u32, system: S) -> u64 {
+    let mut replayer = Replayer::from_merged(trace, pes);
+    let mut engine = Engine::new(system, pes);
     let stats = engine.run(&mut replayer, u64::MAX).expect("fault-free run");
     assert!(stats.finished);
     let mut doc = report::envelope("differential");
@@ -141,58 +156,69 @@ fn replay_report_digest(trace: &[Access], pes: u32) -> u64 {
 
 #[test]
 fn table1_smoke_workloads_replay_identically_at_any_thread_count() {
+    // (benchmark, PIM digest, Illinois digest); the trace is captured on
+    // PIM and replayed on each system.
     let pinned = [
-        (Bench::Tri, 0x98ca_876d_042c_8ae4),
-        (Bench::Semi, 0x87b2_37e9_6725_8f7d),
-        (Bench::Puzzle, 0x504b_174d_1b84_5aeb),
-        (Bench::Pascal, 0x611b_6952_a12e_0b98),
+        (Bench::Tri, 0x98ca_876d_042c_8ae4, 0x28aa_6217_e1c2_9218),
+        (Bench::Semi, 0x87b2_37e9_6725_8f7d, 0x0d13_c6cf_6d5f_f073),
+        (Bench::Puzzle, 0x504b_174d_1b84_5aeb, 0x7c58_0a35_f67d_c0fb),
+        (Bench::Pascal, 0x611b_6952_a12e_0b98, 0x04f9_e34f_2660_abaf),
     ];
     assert_eq!(pinned.len(), Bench::ALL.len(), "every benchmark is pinned");
-    for (bench, digest) in pinned {
+    for (bench, pim, illinois) in pinned {
         let pes = 4;
         let trace = capture_bench_trace(bench, pes);
         assert!(trace.len() > 1_000, "{} trace too small", bench.name());
-        assert_eq!(
-            replay_report_digest(&trace, pes),
-            digest,
-            "{}: replay report changed",
-            bench.name()
-        );
+        for (system, digest) in [(System::Pim, pim), (System::Illinois, illinois)] {
+            assert_eq!(
+                replay_report_digest(&trace, pes, system),
+                digest,
+                "{} on {system:?}: replay report changed",
+                bench.name()
+            );
+        }
     }
 }
 
 #[test]
 fn synthetic_traces_replay_identically_at_any_thread_count() {
     let pes = 8;
-    let traces: Vec<(&str, Vec<Access>, u64)> = vec![
+    // (name, trace, PIM digest, Illinois digest).
+    let traces: Vec<(&str, Vec<Access>, u64, u64)> = vec![
         (
             "producer-consumer",
             workloads::synthetic::producer_consumer(512, 8, 4),
             0x09e5_d114_f020_1436,
+            0xcfad_72b8_13f9_bc7f,
         ),
         (
             "heap-mix",
             workloads::synthetic::shared_heap_mix(pes, 20_000, 30, 1 << 14, 7),
             0xe5c6_a398_818a_41cf,
+            0xe755_4f12_5f62_d5ea,
         ),
         (
             "lock-churn",
             workloads::synthetic::lock_churn(pes, 2_000, 10, 7),
             0xeed1_9e94_7047_43ca,
+            0x4d2a_556a_6653_492b,
         ),
         (
             "aurora",
             workloads::synthetic::aurora_like(pes, 5_000, 1989),
             0xb969_aafc_0d44_d9c2,
+            0x495e_a4cc_b889_5060,
         ),
     ];
-    for (name, trace, digest) in traces {
+    for (name, trace, pim, illinois) in traces {
         let pes = 1 + trace.iter().map(|a| a.pe.0).max().unwrap_or(0);
-        assert_eq!(
-            replay_report_digest(&trace, pes),
-            digest,
-            "{name}: replay report changed"
-        );
+        for (system, digest) in [(System::Pim, pim), (System::Illinois, illinois)] {
+            assert_eq!(
+                replay_report_digest(&trace, pes, system),
+                digest,
+                "{name} on {system:?}: replay report changed"
+            );
+        }
     }
 }
 
