@@ -34,9 +34,30 @@ impl Layout {
     ///
     /// # Panics
     ///
-    /// Panics if `align` is zero or any area is too small for `pes`
-    /// slices.
+    /// Panics if `align` or `pes` is zero, or if [`Layout::try_new`]
+    /// refuses the PE count.
     pub fn new(map: AreaMap, pes: u32, max_arity: u8, align: u64) -> Layout {
+        Layout::try_new(map, pes, max_arity, align).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds the layout like [`Layout::new`], checking that `pes` PEs
+    /// fit: every PE's heap, goal and suspension slice must hold more
+    /// than one goal record, and the communication area must hold all
+    /// `pes × pes` request/reply slots of [`Layout::pair_slot`].
+    ///
+    /// # Errors
+    ///
+    /// [`TooManyPes`], naming the largest PE count that fits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `align` or `pes` is zero.
+    pub fn try_new(
+        map: AreaMap,
+        pes: u32,
+        max_arity: u8,
+        align: u64,
+    ) -> Result<Layout, TooManyPes> {
         assert!(align > 0, "alignment must be positive");
         assert!(pes > 0, "need at least one PE");
         let goal_record_words = 1 + u64::from(max_arity);
@@ -48,18 +69,41 @@ impl Layout {
             goal_record_words,
             goal_stride,
         };
-        for area in [
+        if l.fits(pes) {
+            return Ok(l);
+        }
+        // Fewer PEs get larger slices and fewer pair slots, so the counts
+        // that fit are exactly 1..=max: binary-search the boundary.
+        let (mut lo, mut hi) = (0, pes);
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if l.fits(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        Err(TooManyPes {
+            requested: pes,
+            max: lo,
+        })
+    }
+
+    /// Whether `pes` PEs fit this layout's map, block size and goal
+    /// records (see [`Layout::try_new`]).
+    fn fits(&self, pes: u32) -> bool {
+        let pes = u64::from(pes);
+        let slices_fit = [
             StorageArea::Heap,
             StorageArea::Goal,
             StorageArea::Suspension,
-        ] {
-            let (base, limit) = l.slice(area, PeId(pes - 1));
-            assert!(
-                limit > base + goal_stride,
-                "{area} area too small for {pes} PEs"
-            );
-        }
-        l
+        ]
+        .into_iter()
+        .all(|area| self.map.size(area) / pes / self.align * self.align > self.goal_stride);
+        let slots_fit = (pes * pes)
+            .checked_mul(self.pair_stride())
+            .is_some_and(|words| words <= self.map.size(StorageArea::Communication));
+        slices_fit && slots_fit
     }
 
     /// The `[base, limit)` slice of `area` belonging to `pe`, aligned to
@@ -79,12 +123,17 @@ impl Layout {
     /// next request — the exact "data rewritten just after it is read
     /// from other PE cache" pattern the `RI` command exists for.
     pub fn pair_slot(&self, requester: PeId, donor: PeId) -> Addr {
-        // Slots must hold a whole message *and* stay block-aligned, so
-        // the stride is REPLY_WORDS rounded up to the block size (for
-        // one-word blocks the block size alone would make slots overlap).
-        let stride = REPLY_WORDS.div_ceil(self.align) * self.align;
         self.map.base(StorageArea::Communication)
-            + (u64::from(requester.0) * u64::from(self.pes) + u64::from(donor.0)) * stride
+            + (u64::from(requester.0) * u64::from(self.pes) + u64::from(donor.0))
+                * self.pair_stride()
+    }
+
+    /// Words between consecutive pair slots. Slots must hold a whole
+    /// message *and* stay block-aligned, so the stride is REPLY_WORDS
+    /// rounded up to the block size (for one-word blocks the block size
+    /// alone would make slots overlap).
+    fn pair_stride(&self) -> u64 {
+        REPLY_WORDS.div_ceil(self.align) * self.align
     }
 
     /// The area map.
@@ -141,6 +190,27 @@ impl std::fmt::Display for SemispaceTooLarge {
 }
 
 impl std::error::Error for SemispaceTooLarge {}
+
+/// A PE count too large for the storage areas (see [`Layout::try_new`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TooManyPes {
+    /// The requested PE count.
+    pub requested: u32,
+    /// The largest PE count that fits (0 if not even one does).
+    pub max: u32,
+}
+
+impl std::fmt::Display for TooManyPes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let TooManyPes { requested, max } = self;
+        write!(
+            f,
+            "{requested} PEs do not fit the storage areas (at most {max} fit)"
+        )
+    }
+}
+
+impl std::error::Error for TooManyPes {}
 
 /// One PE's allocation state.
 #[derive(Debug, Clone)]
@@ -556,6 +626,20 @@ mod tests {
         for requested in [max + 1, u64::MAX] {
             let err = l.semispace_words(requested).unwrap_err();
             assert_eq!((err.requested, err.max), (requested, max));
+        }
+    }
+
+    #[test]
+    fn pe_counts_are_checked_up_to_the_largest_that_fits() {
+        // With 4-word blocks the 32M-word communication area holds the
+        // pes × pes four-word pair slots of at most 2,896 PEs.
+        let map = AreaMap::standard();
+        let l = Layout::try_new(map.clone(), 2_896, 5, 4).unwrap();
+        let last = l.pair_slot(PeId(2_895), PeId(2_895));
+        assert!(last + 4 <= map.limit(StorageArea::Communication));
+        for requested in [2_897, 100_000_000] {
+            let err = Layout::try_new(map.clone(), requested, 5, 4).unwrap_err();
+            assert_eq!((err.requested, err.max), (requested, 2_896));
         }
     }
 

@@ -15,7 +15,7 @@
 //! `ER`, exactly the cache-to-cache pattern the PIM commands optimize.
 
 use crate::error::MachineError;
-use crate::layout::{Layout, PeAllocators, SemispaceTooLarge};
+use crate::layout::{Layout, PeAllocators, SemispaceTooLarge, TooManyPes};
 use crate::words::Tagged;
 use fghc::instr::{CodeAddr, CompiledProgram, ProcId};
 use fghc::Term;
@@ -64,6 +64,19 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
+    /// Checks [`ClusterConfig::pes`] against this configuration's
+    /// storage areas and block size, before any cluster is built:
+    /// [`Cluster::new`] panics on a PE count that does not fit. The check
+    /// assumes the widest goal records (arity 255), so a configuration it
+    /// accepts builds for every program.
+    ///
+    /// # Errors
+    ///
+    /// [`TooManyPes`], naming the largest PE count that fits.
+    pub fn check_pes(&self) -> Result<(), TooManyPes> {
+        Layout::try_new(self.area_map.clone(), self.pes, u8::MAX, self.block_words).map(drop)
+    }
+
     /// Checks [`ClusterConfig::heap_semispace_words`] against the heap
     /// slices of this configuration's layout, before any cluster is
     /// built: [`Cluster::new`] panics on a size that does not fit.
@@ -72,6 +85,10 @@ impl ClusterConfig {
     ///
     /// [`SemispaceTooLarge`] when two semispaces exceed a PE's heap
     /// slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`ClusterConfig::check_pes`] refuses the PE count.
     pub fn check_semispace(&self) -> Result<(), SemispaceTooLarge> {
         let Some(words) = self.heap_semispace_words else {
             return Ok(());
@@ -194,7 +211,8 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if the compiled code does not fit the instruction area, or
-    /// if [`ClusterConfig::check_semispace`] refuses the configuration.
+    /// if [`ClusterConfig::check_pes`] or
+    /// [`ClusterConfig::check_semispace`] refuses the configuration.
     pub fn new(program: CompiledProgram, config: ClusterConfig) -> Cluster {
         let max_arity = program
             .proc_names

@@ -6,7 +6,7 @@
 use fghc::Term;
 use kl1_machine::{Cluster, ClusterConfig};
 use pim_cache::{OptMask, PimSystem, SystemConfig};
-use pim_sim::{Engine, IllinoisSystem, MemorySystem};
+use pim_sim::{Engine, IllinoisSystem};
 use pim_trace::{MemOp, PeId, StorageArea};
 
 const FIB: &str = "

@@ -13,7 +13,7 @@ pub const DW_POISON: Word = 0xDEAD_BEEF_DEAD_BEEF;
 /// The array is a passive structure: it answers lookups, installs and
 /// evicts blocks, and tracks LRU — all *decisions* (what to fetch, whom to
 /// invalidate, what a transaction costs) live in
-/// [`crate::protocol::PimSystem`].
+/// [`crate::protocol::CoherentSystem`].
 ///
 /// Storage is struct-of-arrays: line `i` (way `i % ways` of set
 /// `i / ways`) has its tag, state and LRU stamp at index `i` of three
@@ -95,6 +95,7 @@ impl CacheArray {
     }
 
     /// Splits an address into `(tag, set index)`.
+    #[inline]
     fn split(&self, addr: Addr) -> (u64, u64) {
         (
             addr >> self.tag_shift,
@@ -103,20 +104,24 @@ impl CacheArray {
     }
 
     /// The index into `data` of `addr`'s word in line `i`.
+    #[inline]
     fn word_index(&self, i: usize, addr: Addr) -> usize {
         (i << self.block_shift) | (addr & self.offset_mask) as usize
     }
 
     /// The range of `data` holding line `i`'s words.
+    #[inline]
     fn words(&self, i: usize) -> std::ops::Range<usize> {
         (i << self.block_shift)..((i + 1) << self.block_shift)
     }
 
+    #[inline]
     fn set_range(&self, set: u64) -> std::ops::Range<usize> {
         let start = (set * self.geometry.ways) as usize;
         start..start + self.geometry.ways as usize
     }
 
+    #[inline]
     fn find(&self, addr: Addr) -> Option<usize> {
         let (tag, set) = self.split(addr);
         self.set_range(set)
@@ -125,6 +130,7 @@ impl CacheArray {
 
     /// The line [`CacheArray::install`] fills in `set`: the first invalid
     /// way, else the least recently used one.
+    #[inline]
     fn victim(&self, set: u64) -> usize {
         let Some(i) = self
             .set_range(set)
@@ -137,16 +143,19 @@ impl CacheArray {
 
     /// The state of the block containing `addr` ([`BlockState::Inv`] if
     /// absent).
+    #[inline]
     pub fn state_of(&self, addr: Addr) -> BlockState {
         self.find(addr).map_or(BlockState::Inv, |i| self.states[i])
     }
 
     /// Whether the block containing `addr` is resident.
+    #[inline]
     pub fn contains(&self, addr: Addr) -> bool {
         self.find(addr).is_some()
     }
 
     /// Reads the word at `addr` if resident, bumping LRU.
+    #[inline]
     pub fn read(&mut self, addr: Addr) -> Option<Word> {
         let i = self.find(addr)?;
         self.touch(i);
@@ -155,6 +164,7 @@ impl CacheArray {
 
     /// Writes the word at `addr` if resident, bumping LRU and moving the
     /// state to `new_state` (the protocol decides the state).
+    #[inline]
     pub fn write(&mut self, addr: Addr, value: Word, new_state: BlockState) -> bool {
         let Some(i) = self.find(addr) else {
             return false;
@@ -168,6 +178,7 @@ impl CacheArray {
 
     /// Sets the state of a resident block without touching data or LRU
     /// (snoop-induced transitions).
+    #[inline]
     pub fn set_state(&mut self, addr: Addr, state: BlockState) -> bool {
         match self.find(addr) {
             Some(i) => {
@@ -181,6 +192,7 @@ impl CacheArray {
     /// Invalidates the block containing `addr`, returning its old state.
     /// Only the state changes; a caller that needs the words copies them
     /// from [`CacheArray::block`] first.
+    #[inline]
     pub fn invalidate(&mut self, addr: Addr) -> Option<BlockState> {
         let i = self.find(addr)?;
         let state = self.states[i];
@@ -190,12 +202,14 @@ impl CacheArray {
 
     /// Borrows a resident block's words without changing anything
     /// (cache-to-cache supply).
+    #[inline]
     pub fn block(&self, addr: Addr) -> Option<&[Word]> {
         let i = self.find(addr)?;
         Some(&self.data[self.words(i)])
     }
 
     /// Reads one resident word without touching LRU state (inspection).
+    #[inline]
     pub fn snapshot_word(&self, addr: Addr) -> Option<Word> {
         let i = self.find(addr)?;
         Some(self.data[self.word_index(i, addr)])
@@ -210,6 +224,7 @@ impl CacheArray {
     /// Panics if `data` or `evicted` is not exactly one block long, `base`
     /// is not block-aligned, or the block is already resident (the
     /// protocol must not double-install).
+    #[inline]
     pub fn install(
         &mut self,
         base: Addr,
@@ -261,6 +276,7 @@ impl CacheArray {
         })
     }
 
+    #[inline]
     fn touch(&mut self, i: usize) {
         self.clock += 1;
         self.lru[i] = self.clock;

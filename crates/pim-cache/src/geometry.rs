@@ -131,6 +131,7 @@ impl CacheGeometry {
     }
 
     /// Splits an address into `(tag, set index, block offset)`.
+    #[inline]
     pub fn decompose(&self, addr: Addr) -> (u64, u64, u64) {
         let offset = addr % self.block_words;
         let block = addr / self.block_words;
@@ -140,18 +141,21 @@ impl CacheGeometry {
     }
 
     /// The first address of the block containing `addr`.
+    #[inline]
     pub fn block_base(&self, addr: Addr) -> Addr {
         addr - addr % self.block_words
     }
 
     /// Whether `addr` is the first word of its block (the `DW`
     /// block-boundary condition of Section 3.2).
+    #[inline]
     pub fn is_block_boundary(&self, addr: Addr) -> bool {
         addr.is_multiple_of(self.block_words)
     }
 
     /// Whether `addr` is the last word of its block (the `ER` purge
     /// condition of Section 3.2).
+    #[inline]
     pub fn is_last_word(&self, addr: Addr) -> bool {
         addr % self.block_words == self.block_words - 1
     }

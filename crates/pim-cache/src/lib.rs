@@ -28,6 +28,15 @@
 //! lock directories around one bus and one shared memory, driven one memory
 //! operation at a time.
 //!
+//! The Illinois baseline the paper compares against is the same engine
+//! under other rules: [`IllinoisSystem`]. Both are instantiations of
+//! [`CoherentSystem`], generic over a [`CoherenceProtocol`] whose three
+//! compile-time rules ([`rules`]) say whether the optimized commands are
+//! honoured, whether a dirty block supplied cache-to-cache migrates or is
+//! reflected into memory, and whether locks live in the hardware lock
+//! directory or are bus-locked read-modify-writes. Both protocols pass the
+//! same exhaustive model check (`tests/model_check.rs`).
+//!
 //! # Examples
 //!
 //! ```
@@ -61,6 +70,7 @@ pub mod geometry;
 pub mod lockdir;
 pub mod optmask;
 pub mod protocol;
+pub mod rules;
 pub mod state;
 pub mod stats;
 
@@ -69,6 +79,7 @@ pub use error::ProtocolError;
 pub use geometry::{CacheGeometry, ShapeError};
 pub use lockdir::{LockDirectory, LockState};
 pub use optmask::{OptColumn, OptMask};
-pub use protocol::{Outcome, PimSystem, SystemConfig};
+pub use protocol::{CoherentSystem, Outcome, SystemConfig};
+pub use rules::{CoherenceProtocol, Illinois, IllinoisSystem, Pim, PimSystem};
 pub use state::BlockState;
 pub use stats::{AccessStats, LockStats};

@@ -80,6 +80,7 @@ impl LockDirectory {
     ///
     /// [`ProtocolError::AlreadyLocked`] if this PE already holds `addr`;
     /// [`ProtocolError::LockDirectoryFull`] if all entries are in use.
+    #[inline]
     pub fn lock(&mut self, addr: Addr) -> Result<(), ProtocolError> {
         if self.holds(addr) {
             return Err(ProtocolError::AlreadyLocked { addr });
@@ -101,6 +102,7 @@ impl LockDirectory {
     /// # Errors
     ///
     /// [`ProtocolError::NotLocked`] if this PE does not hold `addr`.
+    #[inline]
     pub fn unlock(&mut self, addr: Addr) -> Result<Vec<PeId>, ProtocolError> {
         match self.entries.iter().position(|e| e.addr == addr) {
             Some(i) => Ok(self.entries.swap_remove(i).waiters),
@@ -109,11 +111,13 @@ impl LockDirectory {
     }
 
     /// Whether this PE holds a lock on exactly `addr`.
+    #[inline]
     pub fn holds(&self, addr: Addr) -> bool {
         self.entries.iter().any(|e| e.addr == addr)
     }
 
     /// The state of the entry for `addr`, if held.
+    #[inline]
     pub fn state_of(&self, addr: Addr) -> Option<LockState> {
         self.entries
             .iter()
@@ -127,6 +131,7 @@ impl LockDirectory {
     /// The snooper refuses (responds `LH` to) remote bus commands that
     /// would grant another PE access to a block containing a locked word;
     /// see `protocol` module docs for why the check is block-granular.
+    #[inline]
     pub fn locked_word_in_block(&self, base: Addr, block_words: u64) -> Option<Addr> {
         self.entries
             .iter()
@@ -141,6 +146,7 @@ impl LockDirectory {
     ///
     /// Panics if `addr` is not held — the snooper only routes waiters to
     /// the directory that refused them.
+    #[inline]
     pub fn register_waiter(&mut self, addr: Addr, waiter: PeId) {
         let Some(e) = self.entries.iter_mut().find(|e| e.addr == addr) else {
             panic!("waiter registered on unheld lock {addr:#x}")
@@ -152,6 +158,7 @@ impl LockDirectory {
     }
 
     /// Number of live entries.
+    #[inline]
     pub fn len(&self) -> usize {
         self.entries.len()
     }

@@ -78,6 +78,7 @@ pub struct OptMask {
     enabled: [[bool; 5]; 5],
 }
 
+#[inline]
 fn opt_index(op: MemOp) -> Option<usize> {
     match op {
         MemOp::DirectWrite => Some(0),
@@ -152,6 +153,7 @@ impl OptMask {
     /// The operation actually performed: `op` itself when enabled for
     /// `area` (or not an optimized command at all), otherwise its
     /// downgraded form.
+    #[inline]
     pub fn effective(&self, area: StorageArea, op: MemOp) -> MemOp {
         match opt_index(op) {
             Some(i) if !self.enabled[area.index()][i] => op.downgraded(),

@@ -1,15 +1,21 @@
-//! The PIM coherence engine: N per-PE caches and lock directories around a
+//! The coherence engine: N per-PE caches and lock directories around a
 //! snooping bus and one shared memory.
 //!
-//! [`PimSystem`] is driven one memory operation at a time and is fully
-//! deterministic. It plays three roles at once:
+//! [`CoherentSystem`] is driven one memory operation at a time and is fully
+//! deterministic. It runs the PIM protocol ([`crate::PimSystem`]) and the
+//! Illinois baseline ([`crate::IllinoisSystem`]) alike: the three rules in
+//! which they differ are compile-time constants of a
+//! [`CoherenceProtocol`] (see [`crate::rules`]), and the rest of this
+//! module is shared. It plays three roles at once:
 //!
 //! * a **functional memory**: every read returns the value of the latest
 //!   write to that address (assuming the software contracts of the
 //!   optimized commands are respected);
 //! * a **coherence state machine** implementing Section 3 of the paper:
 //!   five block states, the separate lock directory, the `DW`/`ER`/`RP`/
-//!   `RI` command special cases with their automatic downgrades;
+//!   `RI` command special cases with their automatic downgrades — or,
+//!   under the Illinois rules, four states, bus-locked locks and no
+//!   optimized commands;
 //! * a **traffic meter** recording bus cycles, transaction patterns, bus
 //!   commands, reference mixes, hit ratios and lock ratios for the paper's
 //!   tables and figures.
@@ -29,8 +35,19 @@
 //! On a refusal the requester receives [`Outcome::LockBusy`] and must retry
 //! after the holder's `UL` broadcast — the woken PEs are reported in
 //! [`Outcome::Done::woken`] of the unlocking operation.
+//!
+//! # Inlining
+//!
+//! The engine is generic over its protocol, so it is compiled in each
+//! crate that instantiates it, not in this one. The per-access helpers it
+//! calls (the cache array, lock directory, geometry, block-state and
+//! optimization-mask methods) are `#[inline]` so that those calls can
+//! still be inlined there; without that, simbench's miss-heavy
+//! `replay-heap-mix` replay ran about 9 % slower on a 2-vCPU host than
+//! the same code compiled in this crate.
 
 use crate::array::{CacheArray, Eviction, DW_POISON};
+use crate::rules::CoherenceProtocol;
 use crate::{
     AccessStats, BlockState, CacheGeometry, LockDirectory, LockState, LockStats, OptMask,
     ProtocolError,
@@ -38,8 +55,9 @@ use crate::{
 use pim_bus::{BusCommand, BusStats, BusTiming, SharedMemory, Transaction};
 use pim_obs::Observer;
 use pim_trace::{Access, Addr, AreaMap, MemOp, PeId, RefStats, StorageArea, Word};
+use std::marker::PhantomData;
 
-/// Configuration of a [`PimSystem`].
+/// Configuration of a [`CoherentSystem`].
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
     /// Number of processing elements on the bus (paper default: 8).
@@ -48,7 +66,8 @@ pub struct SystemConfig {
     pub geometry: CacheGeometry,
     /// Bus/memory timing.
     pub timing: BusTiming,
-    /// Which optimized commands are honoured where.
+    /// Which optimized commands are honoured where (ignored by protocols
+    /// without them, such as Illinois).
     pub opt_mask: OptMask,
     /// Lock-directory entries per PE.
     pub lock_entries: usize,
@@ -124,7 +143,7 @@ enum FillSource {
     Memory,
 }
 
-/// A completed fill. The block's words are in `PimSystem::fill_buf`.
+/// A completed fill. The block's words are in `CoherentSystem::fill_buf`.
 struct Filled {
     cycles: u64,
     source: FillSource,
@@ -143,9 +162,12 @@ struct Pe {
     lockdir: LockDirectory,
 }
 
-/// The PIM multiprocessor memory system (Section 3 of the paper).
+/// A snooping multiprocessor memory system running protocol `P`: the PIM
+/// cache ([`crate::PimSystem`]) or the Illinois baseline
+/// ([`crate::IllinoisSystem`]).
 #[derive(Debug)]
-pub struct PimSystem {
+pub struct CoherentSystem<P> {
+    protocol: PhantomData<P>,
     config: SystemConfig,
     pes: Vec<Pe>,
     memory: SharedMemory,
@@ -166,12 +188,14 @@ pub struct PimSystem {
     evict_buf: Vec<Word>,
 }
 
-impl Clone for PimSystem {
+impl<P: CoherenceProtocol> Clone for CoherentSystem<P> {
     /// Clones the full simulation state. The observer (not clonable) is
-    /// dropped — clones observe nothing until [`PimSystem::set_observer`]
-    /// is called on them. Used by state-space exploration tests.
-    fn clone(&self) -> PimSystem {
-        PimSystem {
+    /// dropped — clones observe nothing until
+    /// [`CoherentSystem::set_observer`] is called on them. Used by
+    /// state-space exploration tests.
+    fn clone(&self) -> CoherentSystem<P> {
+        CoherentSystem {
+            protocol: PhantomData,
             config: self.config.clone(),
             pes: self.pes.clone(),
             memory: self.memory.clone(),
@@ -187,13 +211,13 @@ impl Clone for PimSystem {
     }
 }
 
-impl PimSystem {
+impl<P: CoherenceProtocol> CoherentSystem<P> {
     /// Builds a system with all caches empty and memory zeroed.
     ///
     /// # Panics
     ///
     /// Panics if `config.pes` is zero.
-    pub fn new(config: SystemConfig) -> PimSystem {
+    pub fn new(config: SystemConfig) -> CoherentSystem<P> {
         assert!(config.pes > 0, "need at least one PE");
         let pes = (0..config.pes)
             .map(|_| Pe {
@@ -202,7 +226,8 @@ impl PimSystem {
             })
             .collect();
         let block = vec![0; config.geometry.block_words as usize];
-        PimSystem {
+        CoherentSystem {
+            protocol: PhantomData,
             config,
             pes,
             memory: SharedMemory::new(),
@@ -256,8 +281,8 @@ impl PimSystem {
     }
 
     /// Checkpoint hook: restores a system saved by
-    /// [`PimSystem::save_ckpt`] into a freshly built system of the same
-    /// configuration.
+    /// [`CoherentSystem::save_ckpt`] into a freshly built system of the
+    /// same configuration.
     ///
     /// # Errors
     ///
@@ -351,7 +376,7 @@ impl PimSystem {
 
     /// Sets the simulated cycle stamped onto observer events emitted by
     /// the protocol. The driving engine calls this before each
-    /// [`PimSystem::access`] with the operation's issue cycle.
+    /// [`CoherentSystem::access`] with the operation's issue cycle.
     pub fn set_now(&mut self, cycle: u64) {
         self.now = cycle;
     }
@@ -432,7 +457,11 @@ impl PimSystem {
     ) -> Result<Outcome, ProtocolError> {
         assert!((pe.index()) < self.pes.len(), "unknown {pe}");
         let area = self.config.area_map.area(addr);
-        let eff = self.config.opt_mask.effective(area, op);
+        let eff = if P::OPTIMIZED_COMMANDS {
+            self.config.opt_mask.effective(area, op)
+        } else {
+            op.downgraded()
+        };
 
         let outcome = match eff {
             MemOp::Read => self.read(pe, addr, area),
@@ -597,7 +626,9 @@ impl PimSystem {
     ///
     /// `exclusive` selects `FI` (invalidate all other copies, no memory
     /// copy-back of dirty data — the `SM`-state optimization) over `F`
-    /// (supplier keeps a shared copy). `install` controls whether the
+    /// (supplier keeps a shared copy). Under a protocol whose dirty supply
+    /// does not migrate, a dirty block is reflected into memory first and
+    /// the transfer proceeds as a clean one. `install` controls whether the
     /// block enters `pe`'s cache (false for the `RP` bypass). `with_lock`
     /// adds an `LK` broadcast riding on the command. The block's words
     /// are left in `self.fill_buf`.
@@ -632,12 +663,12 @@ impl PimSystem {
         let supplier = self.find_supplier(pe, base);
         let (state, source) = match supplier {
             Some((sup, sup_state)) => {
-                let dirty = sup_state.is_dirty();
+                let mut dirty = sup_state.is_dirty();
                 if exclusive {
                     // FI: every other copy dies; dirty data migrates to the
-                    // requester without updating memory. Each copy is
-                    // taken before its invalidation: the supplier's, or
-                    // else the first dirty one.
+                    // requester without updating memory (unless reflected
+                    // below). Each copy is taken before its invalidation:
+                    // the supplier's, or else the first dirty one.
                     let mut copied = false;
                     for i in 0..self.pes.len() {
                         if i == pe.index() {
@@ -656,13 +687,23 @@ impl PimSystem {
                         unreachable!("supplier had the block");
                     }
                 } else {
-                    // F: the supplier keeps the data; a dirty supplier
-                    // becomes the SM owner, a clean exclusive one drops
-                    // to S. Memory is not updated (unlike Illinois).
+                    // F: the supplier keeps the data.
                     let Some(words) = self.pes[sup.index()].cache.block(base) else {
                         unreachable!("supplier had the block")
                     };
                     self.fill_buf.copy_from_slice(words);
+                }
+                if dirty && !P::DIRTY_SUPPLY_MIGRATES {
+                    // Illinois: the memory controller captures the data as
+                    // it crosses the bus — the block becomes clean.
+                    self.memory.write_block(base, &self.fill_buf);
+                    self.bus
+                        .record_reflective_copyback(area, &self.config.timing);
+                    dirty = false;
+                }
+                if !exclusive {
+                    // A dirty supplier becomes the SM owner, a clean
+                    // exclusive one drops to S. Memory is not updated.
                     let new_state = if dirty {
                         BlockState::Sm
                     } else {
@@ -961,9 +1002,11 @@ impl PimSystem {
     // Lock operations (Sections 3.1, 3.3)
     // ------------------------------------------------------------------
 
-    /// `LR`: lock a word and read it. Free when the block is already held
-    /// exclusively; otherwise `LK` rides on the `I`/`FI` that acquires
-    /// exclusivity.
+    /// `LR`: lock a word and read it. With the hardware lock directory it
+    /// is free when the block is already held exclusively; otherwise `LK`
+    /// rides on the `I`/`FI` that acquires exclusivity. Without it, `LR`
+    /// is a bus-locked read-modify-write: the block is acquired
+    /// exclusively, then the lock itself always costs a bus command.
     fn lock_read(
         &mut self,
         pe: PeId,
@@ -980,21 +1023,14 @@ impl PimSystem {
 
         self.access_stats.lookups += 1;
         let state = self.pes[pe.index()].cache.state_of(addr);
-        let outcome = match state {
-            BlockState::Em | BlockState::Ec => {
-                // The bus-free case the hardware lock exists for: no other
-                // cache can hold the block, so registering locally is safe.
-                self.pes[pe.index()].lockdir.lock(addr)?;
-                self.note_lock_depth(pe);
-                self.lock_stats.lr_total += 1;
-                self.lock_stats.lr_hits += 1;
-                self.lock_stats.lr_hits_exclusive += 1;
-                self.access_stats.hits += 1;
-                let value = self.read_resident(pe, addr);
-                done(value, 0, true)
-            }
+        // `LK` rides on the `I`/`FI` only with the hardware lock directory.
+        let with_lock = P::LOCK_DIRECTORY;
+        let mut cycles = match state {
+            // The bus-free case the hardware lock exists for: no other
+            // cache can hold the block, so registering locally is safe.
+            BlockState::Em | BlockState::Ec => 0,
             BlockState::Sm | BlockState::Shared => {
-                let (cycles, dropped_dirty) = match self.upgrade(pe, addr, true, area) {
+                let (cycles, dropped_dirty) = match self.upgrade(pe, addr, with_lock, area) {
                     Err(holder) => return Ok(Outcome::LockBusy { holder }),
                     Ok(c) => c,
                 };
@@ -1006,26 +1042,37 @@ impl PimSystem {
                     BlockState::Ec
                 };
                 self.cache_set_state(pe, addr, upgraded);
-                self.pes[pe.index()].lockdir.lock(addr)?;
-                self.note_lock_depth(pe);
-                self.lock_stats.lr_total += 1;
-                self.lock_stats.lr_hits += 1;
-                self.access_stats.hits += 1;
-                let value = self.read_resident(pe, addr);
-                done(value, cycles, true)
+                cycles
             }
-            BlockState::Inv => match self.fill(pe, addr, true, true, true, area) {
+            BlockState::Inv => match self.fill(pe, addr, true, true, with_lock, area) {
                 FillOutcome::Refused { holder } => return Ok(Outcome::LockBusy { holder }),
-                FillOutcome::Filled(f) => {
-                    self.pes[pe.index()].lockdir.lock(addr)?;
-                    self.note_lock_depth(pe);
-                    self.lock_stats.lr_total += 1;
-                    let value = self.read_resident(pe, addr);
-                    done(value, f.cycles, false)
-                }
+                FillOutcome::Filled(f) => f.cycles,
             },
         };
-        Ok(outcome)
+        if !P::LOCK_DIRECTORY {
+            // The bus-lock broadcast itself: never free without the
+            // hardware lock directory.
+            self.bus.record_cmd(BusCommand::Lock);
+            let bw = self.config.geometry.block_words;
+            self.bus
+                .record_tx(Transaction::Invalidate, area, &self.config.timing, bw);
+            cycles += self.config.timing.cycles(Transaction::Invalidate, bw);
+        }
+        self.pes[pe.index()].lockdir.lock(addr)?;
+        self.lock_stats.lr_total += 1;
+        let hit = state.is_valid();
+        if P::LOCK_DIRECTORY {
+            self.note_lock_depth(pe);
+            if state.is_exclusive() {
+                self.lock_stats.lr_hits_exclusive += 1;
+            }
+        }
+        if hit {
+            self.lock_stats.lr_hits += 1;
+            self.access_stats.hits += 1;
+        }
+        let value = self.read_resident(pe, addr);
+        Ok(done(value, cycles, hit))
     }
 
     /// `UW`: write the locked word, then unlock it. The write is always
@@ -1087,7 +1134,8 @@ impl PimSystem {
         }
     }
 
-    /// Removes the lock entry; broadcasts `UL` only when someone waits.
+    /// Removes the lock entry; broadcasts `UL` only when someone waits —
+    /// or always, without the hardware lock directory.
     fn release(
         &mut self,
         pe: PeId,
@@ -1096,7 +1144,7 @@ impl PimSystem {
     ) -> Result<(u64, Vec<PeId>), ProtocolError> {
         let woken = self.pes[pe.index()].lockdir.unlock(addr)?;
         self.lock_stats.unlock_total += 1;
-        if woken.is_empty() {
+        if P::LOCK_DIRECTORY && woken.is_empty() {
             self.lock_stats.unlock_no_waiter += 1;
             return Ok((0, woken));
         }
@@ -1181,6 +1229,7 @@ impl PimSystem {
     }
 }
 
+#[inline]
 fn done(value: Word, bus_cycles: u64, hit: bool) -> Outcome {
     Outcome::Done {
         value,
@@ -1190,6 +1239,7 @@ fn done(value: Word, bus_cycles: u64, hit: bool) -> Outcome {
     }
 }
 
+#[inline]
 fn expect_data(op: MemOp, data: Option<Word>) -> Word {
     data.unwrap_or_else(|| panic!("{op} requires a data word"))
 }

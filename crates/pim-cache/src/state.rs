@@ -36,16 +36,19 @@ impl BlockState {
     ];
 
     /// Whether the block holds usable data.
+    #[inline]
     pub fn is_valid(self) -> bool {
         self != BlockState::Inv
     }
 
     /// Whether this cache must write the block back on eviction.
+    #[inline]
     pub fn is_dirty(self) -> bool {
         matches!(self, BlockState::Em | BlockState::Sm)
     }
 
     /// Whether no other cache may hold a valid copy.
+    #[inline]
     pub fn is_exclusive(self) -> bool {
         matches!(self, BlockState::Em | BlockState::Ec)
     }
@@ -69,6 +72,7 @@ impl fmt::Display for BlockState {
 }
 
 impl From<BlockState> for pim_obs::CohState {
+    #[inline]
     fn from(state: BlockState) -> pim_obs::CohState {
         match state {
             BlockState::Em => pim_obs::CohState::Em,

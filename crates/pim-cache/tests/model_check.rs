@@ -1,18 +1,23 @@
 //! Exhaustive protocol model check: breadth-first enumeration of every
 //! reachable (cache-state × lock-directory × memory) configuration of a
-//! small PIM system driven by all legal operations on a single block,
+//! small system driven by all legal operations on a single block,
 //! asserting the paper's coherence and lock invariants in each state.
+//! Every protocol the simulator runs passes the same check: each test
+//! explores both the PIM protocol and the Illinois baseline.
 //!
 //! The state abstraction is sound for this workload: with one block, one
 //! set and one way there is no replacement choice, so two systems with
-//! equal [`PimSystem::cache_view`]/[`PimSystem::lock_view`]/memory views
-//! are behaviorally indistinguishable. Statistics counters are excluded
-//! from the fingerprint on purpose (they grow without bound and never
-//! feed back into protocol decisions).
+//! equal [`CoherentSystem::cache_view`]/[`CoherentSystem::lock_view`]/
+//! memory views are behaviorally indistinguishable. Statistics counters
+//! are excluded from the fingerprint on purpose (they grow without bound
+//! and never feed back into protocol decisions).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
-use pim_cache::{BlockState, CacheGeometry, LockState, PimSystem, SystemConfig};
+use pim_cache::{
+    BlockState, CacheGeometry, CoherenceProtocol, CoherentSystem, Illinois, LockState, Pim,
+    SystemConfig,
+};
 use pim_trace::{Addr, MemOp, PeId, StorageArea, Word};
 
 /// Fixed write payload: keeps the data component of the state space finite
@@ -20,8 +25,8 @@ use pim_trace::{Addr, MemOp, PeId, StorageArea, Word};
 /// behavior — the protocol never branches on data values.
 const WRITTEN: Word = 7;
 
-fn tiny_system(pes: u32) -> PimSystem {
-    PimSystem::new(SystemConfig {
+fn tiny_system<P: CoherenceProtocol>(pes: u32) -> CoherentSystem<P> {
+    CoherentSystem::new(SystemConfig {
         pes,
         geometry: CacheGeometry {
             block_words: 2,
@@ -32,7 +37,7 @@ fn tiny_system(pes: u32) -> PimSystem {
     })
 }
 
-fn block_words(sys: &PimSystem) -> Vec<Addr> {
+fn block_words<P: CoherenceProtocol>(sys: &CoherentSystem<P>) -> Vec<Addr> {
     let base = sys.area_map().base(StorageArea::Heap);
     (0..sys.config().geometry.block_words)
         .map(|w| base + w * 4)
@@ -41,7 +46,7 @@ fn block_words(sys: &PimSystem) -> Vec<Addr> {
 
 /// Canonical state key: per-PE block view, per-PE per-word lock view, and
 /// the shared-memory words. Everything the protocol can branch on.
-fn fingerprint(sys: &PimSystem, words: &[Addr]) -> String {
+fn fingerprint<P: CoherenceProtocol>(sys: &CoherentSystem<P>, words: &[Addr]) -> String {
     let base = words[0];
     let mut key = String::new();
     for pe in 0..sys.config().pes {
@@ -74,8 +79,10 @@ const ALL_OPS: [MemOp; 9] = [
 /// The contract-free subset: plain reads/writes and the lock protocol.
 /// The optimized commands (`DW`/`ER`/`RP`/`RI`) carry *software contracts*
 /// (single-reader, initialize-before-share, …); driven adversarially they
-/// may leave memory stale behind a clean copy by design, so the
-/// memory-currency invariant is only asserted over this subset.
+/// may leave memory stale behind a clean copy by design, so under PIM the
+/// memory-currency invariant is only asserted over this subset. Illinois
+/// downgrades those commands to plain ones, so no contract excuses a stale
+/// word there: its memory currency is asserted over [`ALL_OPS`].
 const PLAIN_OPS: [MemOp; 5] = [
     MemOp::Read,
     MemOp::Write,
@@ -85,11 +92,17 @@ const PLAIN_OPS: [MemOp; 5] = [
 ];
 
 /// Invariants checked in every reachable state, on top of
-/// [`PimSystem::check_coherence_invariants`] (exclusive-copy-alone, at most
-/// one dirty copy, shared copies bit-identical). `memory_currency` is only
-/// sound when the exploration respects the optimized commands' software
-/// contracts (i.e. uses [`PLAIN_OPS`]).
-fn assert_state_invariants(sys: &PimSystem, words: &[Addr], memory_currency: bool, key: &str) {
+/// [`CoherentSystem::check_coherence_invariants`] (exclusive-copy-alone,
+/// at most one dirty copy, shared copies bit-identical). `memory_currency`
+/// is only sound when the exploration respects the optimized commands'
+/// software contracts (i.e. uses [`PLAIN_OPS`], or a protocol without
+/// optimized commands).
+fn assert_state_invariants<P: CoherenceProtocol>(
+    sys: &CoherentSystem<P>,
+    words: &[Addr],
+    memory_currency: bool,
+    key: &str,
+) {
     sys.check_coherence_invariants()
         .unwrap_or_else(|e| panic!("coherence violated: {e}\nstate: {key}"));
 
@@ -108,6 +121,15 @@ fn assert_state_invariants(sys: &PimSystem, words: &[Addr], memory_currency: boo
         exclusive <= 1 && (exclusive == 0 || views.len() == 1),
         "exclusive copy coexists with others\nstate: {key}"
     );
+
+    // A protocol that reflects dirty supply into memory never shares a
+    // dirty block, so no copy is ever SM.
+    if !P::DIRTY_SUPPLY_MIGRATES {
+        assert!(
+            views.iter().all(|(s, _)| *s != BlockState::Sm),
+            "SM copy under a reflecting protocol\nstate: {key}"
+        );
+    }
 
     // Paper invariant: S copies without an SM owner mean memory is current
     // — i.e. "S implies a clean copy exists" (the block's latest data is
@@ -159,7 +181,7 @@ fn assert_state_invariants(sys: &PimSystem, words: &[Addr], memory_currency: boo
 /// LWAIT chains drain: from any reachable state, releasing every held lock
 /// (holder issues `U`) wakes exactly the registered waiters and leaves no
 /// lock-directory entries anywhere.
-fn assert_lwait_drains(sys: &PimSystem, words: &[Addr], key: &str) {
+fn assert_lwait_drains<P: CoherenceProtocol>(sys: &CoherentSystem<P>, words: &[Addr], key: &str) {
     let mut sys = sys.clone();
     let pes = sys.config().pes;
     for &w in words {
@@ -190,13 +212,18 @@ fn assert_lwait_drains(sys: &PimSystem, words: &[Addr], key: &str) {
 
 /// Exhaustive BFS over reachable protocol states. Returns the number of
 /// distinct states and transitions explored.
-fn explore(pes: u32, ops: &[MemOp], memory_currency: bool, state_cap: usize) -> (usize, u64) {
-    let root = tiny_system(pes);
+fn explore<P: CoherenceProtocol>(
+    pes: u32,
+    ops: &[MemOp],
+    memory_currency: bool,
+    state_cap: usize,
+) -> (usize, u64) {
+    let root = tiny_system::<P>(pes);
     let words = block_words(&root);
     let root_key = fingerprint(&root, &words);
 
     let mut seen: HashMap<String, ()> = HashMap::new();
-    let mut queue: VecDeque<PimSystem> = VecDeque::new();
+    let mut queue: VecDeque<CoherentSystem<P>> = VecDeque::new();
     seen.insert(root_key, ());
     queue.push_back(root);
     let mut transitions = 0u64;
@@ -239,32 +266,81 @@ fn explore(pes: u32, ops: &[MemOp], memory_currency: bool, state_cap: usize) -> 
     (seen.len(), transitions)
 }
 
+// Each exploration's (states, transitions) count is pinned beside it.
+// PIM's counts were computed before Illinois shared its engine and are
+// unchanged by that refactor. Illinois downgrades the optimized commands,
+// so all nine ops reach the same states as the plain five, over more
+// transitions. A protocol change that alters a reachable state or a
+// legal transition must consciously edit a count here.
+
 #[test]
 fn two_caches_one_block_exhaustive() {
-    let (states, transitions) = explore(2, &ALL_OPS, false, 50_000);
-    // The space must be non-trivial (all five block states reachable in
-    // combination with lock entries) yet closed under every operation.
-    assert!(states > 100, "suspiciously small space: {states}");
-    assert!(transitions > states as u64);
+    for (counts, pinned) in [
+        (explore::<Pim>(2, &ALL_OPS, false, 50_000), (1_270, 37_336)),
+        // Illinois has no optimized commands: memory stays current over
+        // every op.
+        (explore::<Illinois>(2, &ALL_OPS, true, 50_000), (192, 5_648)),
+    ] {
+        let (states, transitions) = counts;
+        // The space must be non-trivial (every block state of the
+        // protocol reachable in combination with lock entries) yet closed
+        // under every operation.
+        assert!(states > 100, "suspiciously small space: {states}");
+        assert!(transitions > states as u64);
+        assert_eq!(counts, pinned, "state space changed");
+    }
 }
 
 #[test]
 fn three_caches_one_block_exhaustive() {
-    let (states, transitions) = explore(3, &ALL_OPS, false, 500_000);
-    assert!(states > 1_000, "suspiciously small space: {states}");
-    assert!(transitions > states as u64);
+    for (counts, pinned) in [
+        (
+            explore::<Pim>(3, &ALL_OPS, false, 500_000),
+            (15_584, 681_138),
+        ),
+        (
+            explore::<Illinois>(3, &ALL_OPS, true, 500_000),
+            (1_858, 81_216),
+        ),
+    ] {
+        let (states, transitions) = counts;
+        assert!(states > 1_000, "suspiciously small space: {states}");
+        assert!(transitions > states as u64);
+        assert_eq!(counts, pinned, "state space changed");
+    }
 }
 
 #[test]
 fn two_caches_plain_ops_memory_current() {
-    let (states, _) = explore(2, &PLAIN_OPS, true, 50_000);
-    assert!(states > 50, "suspiciously small space: {states}");
+    for (counts, pinned) in [
+        (explore::<Pim>(2, &PLAIN_OPS, true, 50_000), (224, 2_984)),
+        (
+            explore::<Illinois>(2, &PLAIN_OPS, true, 50_000),
+            (192, 2_576),
+        ),
+    ] {
+        let (states, _) = counts;
+        assert!(states > 50, "suspiciously small space: {states}");
+        assert_eq!(counts, pinned, "state space changed");
+    }
 }
 
 #[test]
 fn three_caches_plain_ops_memory_current() {
-    let (states, _) = explore(3, &PLAIN_OPS, true, 200_000);
-    assert!(states > 200, "suspiciously small space: {states}");
+    for (counts, pinned) in [
+        (
+            explore::<Pim>(3, &PLAIN_OPS, true, 200_000),
+            (2_212, 43_326),
+        ),
+        (
+            explore::<Illinois>(3, &PLAIN_OPS, true, 200_000),
+            (1_858, 36_624),
+        ),
+    ] {
+        let (states, _) = counts;
+        assert!(states > 200, "suspiciously small space: {states}");
+        assert_eq!(counts, pinned, "state space changed");
+    }
 }
 
 /// NACK/retry fault transitions leave the protocol state space intact.
@@ -280,17 +356,22 @@ fn three_caches_plain_ops_memory_current() {
 /// fires.
 #[test]
 fn nack_retry_transitions_preserve_the_state_space() {
+    nack_retry_preserves_the_state_space::<Pim>();
+    nack_retry_preserves_the_state_space::<Illinois>();
+}
+
+fn nack_retry_preserves_the_state_space<P: CoherenceProtocol>() {
     use pim_fault::{arbitrate_with_faults, FaultConfig, FaultPlan};
 
     let pes = 2;
-    let root = tiny_system(pes);
+    let root = tiny_system::<P>(pes);
     let words = block_words(&root);
     // 20% per-attempt rate: chains of several retries are common.
     let plan = FaultPlan::new(FaultConfig::new(0xC0FFEE, 200_000));
     let max_chain = plan.config().max_retries as usize;
 
     let mut seen: HashMap<String, ()> = HashMap::new();
-    let mut queue: VecDeque<PimSystem> = VecDeque::new();
+    let mut queue: VecDeque<CoherentSystem<P>> = VecDeque::new();
     seen.insert(fingerprint(&root, &words), ());
     queue.push_back(root);
     let mut transitions = 0u64;
@@ -349,7 +430,7 @@ fn nack_retry_transitions_preserve_the_state_space() {
 
     // Same space as the fault-free exploration, and the plan actually
     // fired (a silent zero-injection run would prove nothing).
-    let (clean_states, _) = explore(pes, &ALL_OPS, false, 50_000);
+    let (clean_states, _) = explore::<P>(pes, &ALL_OPS, false, 50_000);
     assert_eq!(
         seen.len(),
         clean_states,
@@ -358,16 +439,32 @@ fn nack_retry_transitions_preserve_the_state_space() {
     assert!(faulted > 100, "fault plan barely fired: {faulted}");
 }
 
-/// Every one of the five paper states is actually exercised by the
-/// exploration driver (guards against a driver that never leaves S/INV).
+/// Every block state of each protocol is actually exercised by the
+/// exploration driver (guards against a driver that never leaves S/INV):
+/// all five paper states under PIM, and exactly `EM`/`EC`/`S`/`INV` under
+/// Illinois, which never creates `SM`.
 #[test]
 fn all_block_states_reachable() {
+    use BlockState::{Ec, Em, Inv, Shared, Sm};
+    assert_eq!(
+        reachable_block_states::<Pim>(),
+        HashSet::from([Em, Ec, Sm, Shared, Inv])
+    );
+    assert_eq!(
+        reachable_block_states::<Illinois>(),
+        HashSet::from([Em, Ec, Shared, Inv])
+    );
+}
+
+/// The block states some PE holds in some reachable state of a 2-PE
+/// system driven by [`ALL_OPS`].
+fn reachable_block_states<P: CoherenceProtocol>() -> HashSet<BlockState> {
     let pes = 2;
-    let root = tiny_system(pes);
+    let root = tiny_system::<P>(pes);
     let words = block_words(&root);
-    let mut seen_states = std::collections::HashSet::new();
+    let mut seen_states = HashSet::new();
     let mut seen: HashMap<String, ()> = HashMap::new();
-    let mut queue: VecDeque<PimSystem> = VecDeque::new();
+    let mut queue: VecDeque<CoherentSystem<P>> = VecDeque::new();
     seen.insert(fingerprint(&root, &words), ());
     queue.push_back(root);
     while let Some(sys) = queue.pop_front() {
@@ -400,13 +497,5 @@ fn all_block_states_reachable() {
             }
         }
     }
-    for state in [
-        BlockState::Em,
-        BlockState::Ec,
-        BlockState::Sm,
-        BlockState::Shared,
-        BlockState::Inv,
-    ] {
-        assert!(seen_states.contains(&state), "{state:?} never reached");
-    }
+    seen_states
 }

@@ -1,4 +1,5 @@
-//! The PIM protocol state-transition table, pinned as tests.
+//! The PIM protocol state-transition table, pinned as tests, with the
+//! Illinois baseline's rows beside it.
 //!
 //! The paper defers its complete transition tables to ICOT TR-327 (not
 //! publicly available); this file *is* that table for the reproduction:
@@ -7,7 +8,7 @@
 //! bus cycle cost. Any change to the protocol that alters a transition
 //! must consciously edit a row here.
 
-use pim_cache::{BlockState, PimSystem, SystemConfig};
+use pim_cache::{BlockState, CoherenceProtocol, CoherentSystem, Illinois, Pim, SystemConfig};
 use pim_trace::{Addr, MemOp, PeId, StorageArea};
 
 const P0: PeId = PeId(0);
@@ -23,8 +24,11 @@ enum Remote {
     Ec,
     /// PE1 holds it exclusive-modified.
     Em,
-    /// PE1 owns it shared-modified, PE2 holds shared.
+    /// PE1 owns it shared-modified, PE2 holds shared (PE1 wrote it, then
+    /// PE2 read it).
     SmS,
+    /// PE1 and PE2 hold clean shared copies (both read it).
+    S,
 }
 
 /// The local state of PE0 before the probed access.
@@ -41,10 +45,12 @@ enum Local {
 /// `remote` for the probe block, then returns it with the probe address.
 ///
 /// Reaching (local=Sm) requires remote S copies; (local=S) requires some
-/// owner — the constructor panics on configurations the protocol cannot
-/// produce, which the table below never requests.
-fn setup(local: Local, remote: Remote) -> (PimSystem, Addr) {
-    let mut sys = PimSystem::new(SystemConfig {
+/// other holder — the constructor panics on configurations the protocol
+/// cannot produce, which the table below never requests. The states named
+/// are PIM's; the Illinois rows use only configurations whose names hold
+/// under both protocols.
+fn setup<P: CoherenceProtocol>(local: Local, remote: Remote) -> (CoherentSystem<P>, Addr) {
+    let mut sys = CoherentSystem::new(SystemConfig {
         pes: 3,
         ..SystemConfig::default()
     });
@@ -61,6 +67,10 @@ fn setup(local: Local, remote: Remote) -> (PimSystem, Addr) {
             sys.access(P1, MemOp::Write, a, Some(9)).unwrap();
             sys.access(P2, MemOp::Read, a, None).unwrap();
         }
+        (Local::Inv, Remote::S) => {
+            sys.access(P1, MemOp::Read, a, None).unwrap();
+            sys.access(P2, MemOp::Read, a, None).unwrap();
+        }
         (Local::Ec, Remote::None) => {
             sys.access(P0, MemOp::Read, a, None).unwrap();
         }
@@ -69,6 +79,11 @@ fn setup(local: Local, remote: Remote) -> (PimSystem, Addr) {
         }
         (Local::S, Remote::SmS) => {
             sys.access(P1, MemOp::Write, a, Some(9)).unwrap();
+            sys.access(P2, MemOp::Read, a, None).unwrap();
+            sys.access(P0, MemOp::Read, a, None).unwrap();
+        }
+        (Local::S, Remote::S) => {
+            sys.access(P1, MemOp::Read, a, None).unwrap();
             sys.access(P2, MemOp::Read, a, None).unwrap();
             sys.access(P0, MemOp::Read, a, None).unwrap();
         }
@@ -83,7 +98,7 @@ fn setup(local: Local, remote: Remote) -> (PimSystem, Addr) {
     (sys, a)
 }
 
-fn state(sys: &PimSystem, pe: PeId, a: Addr) -> BlockState {
+fn state<P: CoherenceProtocol>(sys: &CoherentSystem<P>, pe: PeId, a: Addr) -> BlockState {
     sys.cache_state(pe, a)
 }
 
@@ -100,9 +115,14 @@ struct Row {
     end_p1: BlockState,
 }
 
-fn check(row: &Row) {
-    let (mut sys, base) = setup(row.local, row.remote);
+/// Probes `row` on protocol `P`. Only the holder may issue `UW`/`U`, so
+/// for those PE0 first locks the probe word (untimed).
+fn check<P: CoherenceProtocol>(row: &Row) {
+    let (mut sys, base) = setup::<P>(row.local, row.remote);
     let a = base + row.offset;
+    if matches!(row.op, MemOp::WriteUnlock | MemOp::Unlock) {
+        sys.access(P0, MemOp::LockRead, a, None).unwrap();
+    }
     let data = row.op.is_write().then_some(42);
     let out = sys.access(P0, row.op, a, data).unwrap();
     assert_eq!(
@@ -212,7 +232,7 @@ fn read_transitions() {
             end_p1: Shared,
         },
     ] {
-        check(&row);
+        check::<Pim>(&row);
     }
 }
 
@@ -294,7 +314,7 @@ fn write_transitions() {
             end_p1: Inv,
         },
     ] {
-        check(&row);
+        check::<Pim>(&row);
     }
 }
 
@@ -361,7 +381,7 @@ fn direct_write_transitions() {
             end_p1: Inv,
         },
     ] {
-        check(&row);
+        check::<Pim>(&row);
     }
 }
 
@@ -446,7 +466,7 @@ fn exclusive_read_transitions() {
             end_p1: Inv,
         },
     ] {
-        check(&row);
+        check::<Pim>(&row);
     }
 }
 
@@ -493,7 +513,7 @@ fn read_purge_transitions() {
             end_p1: Inv,
         },
     ] {
-        check(&row);
+        check::<Pim>(&row);
     }
 }
 
@@ -548,7 +568,7 @@ fn read_invalidate_transitions() {
             end_p1: Sm,
         },
     ] {
-        check(&row);
+        check::<Pim>(&row);
     }
 }
 
@@ -614,22 +634,142 @@ fn lock_read_transitions() {
             end_p1: Inv,
         },
     ] {
-        check(&row);
+        check::<Pim>(&row);
     }
 }
 
 #[test]
 fn unlock_transitions() {
     // UW on the held word: write is exclusive; no waiter → no UL.
-    let (mut sys, a) = setup(Local::Em, Remote::None);
+    let (mut sys, a) = setup::<Pim>(Local::Em, Remote::None);
     sys.access(P0, MemOp::LockRead, a, None).unwrap();
     let out = sys.access(P0, MemOp::WriteUnlock, a, Some(5)).unwrap();
     assert_eq!(out.bus_cycles(), 0);
     assert_eq!(state(&sys, P0, a), Em);
 
-    let (mut sys, a) = setup(Local::Em, Remote::None);
+    let (mut sys, a) = setup::<Pim>(Local::Em, Remote::None);
     sys.access(P0, MemOp::LockRead, a, None).unwrap();
     let out = sys.access(P0, MemOp::Unlock, a, None).unwrap();
     assert_eq!(out.bus_cycles(), 0);
     assert_eq!(state(&sys, P0, a), Em, "U does not touch the block");
+}
+
+// ---------------------------------------------------------------------
+// The Illinois baseline. Every local state it can reach (INV/EC/EM/S)
+// against every remote configuration it can reach (none/EC/EM/S), for
+// the operations it honours. Its differences from PIM show up as: a dirty
+// supplier ends S beside an S requester (memory takes the block), an
+// exclusive fetch from a dirty supplier lands EC, and `LR`/`UW`/`U`
+// always pay a 2-cycle bus-lock or unlock broadcast.
+// ---------------------------------------------------------------------
+
+/// One Illinois row per local/remote configuration: (local, remote,
+/// cycles, end_local, end_p1), probed at the block's first word.
+type IllinoisRows = [(Local, Remote, u64, BlockState, BlockState); 7];
+
+fn check_illinois(op: MemOp, rows: IllinoisRows) {
+    for (local, remote, cycles, end_local, end_p1) in rows {
+        check::<Illinois>(&Row {
+            local,
+            remote,
+            op,
+            offset: 0,
+            cycles,
+            end_local,
+            end_p1,
+        });
+    }
+}
+
+#[test]
+fn illinois_read_transitions() {
+    use Local as L;
+    use Remote as R;
+    // Misses: memory fetch 13, any cache-to-cache supply 7; a dirty
+    // supplier's reflective copy-back costs no bus cycles.
+    check_illinois(
+        MemOp::Read,
+        [
+            (L::Inv, R::None, 13, Ec, Inv),
+            (L::Inv, R::Ec, 7, Shared, Shared),
+            (L::Inv, R::Em, 7, Shared, Shared),
+            (L::Inv, R::S, 7, Shared, Shared),
+            (L::Ec, R::None, 0, Ec, Inv),
+            (L::Em, R::None, 0, Em, Inv),
+            (L::S, R::S, 0, Shared, Shared),
+        ],
+    );
+}
+
+#[test]
+fn illinois_write_transitions() {
+    use Local as L;
+    use Remote as R;
+    check_illinois(
+        MemOp::Write,
+        [
+            (L::Inv, R::None, 13, Em, Inv),
+            (L::Inv, R::Ec, 7, Em, Inv),
+            (L::Inv, R::Em, 7, Em, Inv),
+            (L::Inv, R::S, 7, Em, Inv),
+            (L::Ec, R::None, 0, Em, Inv),
+            (L::Em, R::None, 0, Em, Inv),
+            (L::S, R::S, 2, Em, Inv),
+        ],
+    );
+}
+
+#[test]
+fn illinois_lock_read_transitions() {
+    use Local as L;
+    use Remote as R;
+    // The block is acquired exclusively as for a write (fetch 13 or 7,
+    // upgrade 2, exclusive hit 0), then the bus lock adds 2 — even on an
+    // exclusive hit. A dirty supplier is reflected, so the requester
+    // lands EC.
+    check_illinois(
+        MemOp::LockRead,
+        [
+            (L::Inv, R::None, 15, Ec, Inv),
+            (L::Inv, R::Ec, 9, Ec, Inv),
+            (L::Inv, R::Em, 9, Ec, Inv),
+            (L::Inv, R::S, 9, Ec, Inv),
+            (L::Ec, R::None, 2, Ec, Inv),
+            (L::Em, R::None, 2, Em, Inv),
+            (L::S, R::S, 4, Ec, Inv),
+        ],
+    );
+}
+
+#[test]
+fn illinois_unlock_transitions() {
+    use Local as L;
+    use Remote as R;
+    // After PE0's LR the block is exclusive, so UW's write is a free hit;
+    // the unlock broadcast costs 2 though no one waits.
+    check_illinois(
+        MemOp::WriteUnlock,
+        [
+            (L::Inv, R::None, 2, Em, Inv),
+            (L::Inv, R::Ec, 2, Em, Inv),
+            (L::Inv, R::Em, 2, Em, Inv),
+            (L::Inv, R::S, 2, Em, Inv),
+            (L::Ec, R::None, 2, Em, Inv),
+            (L::Em, R::None, 2, Em, Inv),
+            (L::S, R::S, 2, Em, Inv),
+        ],
+    );
+    // U does not touch the block LR left behind.
+    check_illinois(
+        MemOp::Unlock,
+        [
+            (L::Inv, R::None, 2, Ec, Inv),
+            (L::Inv, R::Ec, 2, Ec, Inv),
+            (L::Inv, R::Em, 2, Ec, Inv),
+            (L::Inv, R::S, 2, Ec, Inv),
+            (L::Ec, R::None, 2, Ec, Inv),
+            (L::Em, R::None, 2, Em, Inv),
+            (L::S, R::S, 2, Ec, Inv),
+        ],
+    );
 }

@@ -8,10 +8,12 @@
 //! id — the paper's per-bus-request synchronization, reproduced exactly
 //! and deterministically).
 //!
-//! It also hosts the **Illinois baseline** ([`IllinoisSystem`]): the
+//! It also re-exports the **Illinois baseline** ([`IllinoisSystem`]): the
 //! four-state protocol the paper compares against, which copies dirty
 //! blocks back to shared memory on every cache-to-cache transfer (no `SM`
-//! state) and has no hardware lock directory.
+//! state) and has no hardware lock directory. It is `pim-cache`'s one
+//! coherence engine under the Illinois rules, so every protocol implements
+//! [`MemorySystem`] through the same generic impl.
 //!
 //! The workload side is abstracted as a [`Process`]: anything that can
 //! step one PE at a time against a [`pim_trace::MemoryPort`] — the KL1
@@ -23,12 +25,11 @@
 
 pub mod engine;
 pub mod error;
-pub mod illinois;
 pub mod replay;
 pub mod system;
 
 pub use engine::{Engine, Process, RunStats, StepOutcome};
 pub use error::SimError;
-pub use illinois::IllinoisSystem;
+pub use pim_cache::IllinoisSystem;
 pub use replay::Replayer;
 pub use system::MemorySystem;

@@ -1,7 +1,9 @@
 //! The memory-system abstraction the engine drives.
 
 use pim_bus::BusStats;
-use pim_cache::{AccessStats, LockStats, Outcome, PimSystem, ProtocolError};
+use pim_cache::{
+    AccessStats, CoherenceProtocol, CoherentSystem, LockStats, Outcome, ProtocolError,
+};
 use pim_obs::Observer;
 use pim_trace::{Addr, AreaMap, MemOp, PeId, RefStats, Word};
 
@@ -75,7 +77,9 @@ pub trait MemorySystem {
     fn restore_ckpt(&mut self, r: &mut pim_ckpt::Reader<'_>) -> Result<(), pim_ckpt::CkptError>;
 }
 
-impl MemorySystem for PimSystem {
+/// Every protocol of `pim-cache`'s one coherence engine — PIM and the
+/// Illinois baseline alike — is a memory system through this impl.
+impl<P: CoherenceProtocol> MemorySystem for CoherentSystem<P> {
     fn access(
         &mut self,
         pe: PeId,
@@ -83,58 +87,58 @@ impl MemorySystem for PimSystem {
         addr: Addr,
         data: Option<Word>,
     ) -> Result<Outcome, ProtocolError> {
-        PimSystem::access(self, pe, op, addr, data)
+        CoherentSystem::access(self, pe, op, addr, data)
     }
 
     fn area_map(&self) -> &AreaMap {
-        PimSystem::area_map(self)
+        CoherentSystem::area_map(self)
     }
 
     fn poke(&mut self, addr: Addr, value: Word) {
-        PimSystem::poke(self, addr, value)
+        CoherentSystem::poke(self, addr, value)
     }
 
     fn peek(&self, addr: Addr) -> Word {
-        PimSystem::peek(self, addr)
+        CoherentSystem::peek(self, addr)
     }
 
     fn bus_stats(&self) -> &BusStats {
-        PimSystem::bus_stats(self)
+        CoherentSystem::bus_stats(self)
     }
 
     fn ref_stats(&self) -> &RefStats {
-        PimSystem::ref_stats(self)
+        CoherentSystem::ref_stats(self)
     }
 
     fn access_stats(&self) -> &AccessStats {
-        PimSystem::access_stats(self)
+        CoherentSystem::access_stats(self)
     }
 
     fn lock_stats(&self) -> &LockStats {
-        PimSystem::lock_stats(self)
+        CoherentSystem::lock_stats(self)
     }
 
     fn set_observer(&mut self, observer: Box<dyn Observer>) {
-        PimSystem::set_observer(self, observer)
+        CoherentSystem::set_observer(self, observer)
     }
 
     fn set_now(&mut self, cycle: u64) {
-        PimSystem::set_now(self, cycle)
+        CoherentSystem::set_now(self, cycle)
     }
 
     fn save_ckpt(&self, w: &mut pim_ckpt::Writer) {
-        PimSystem::save_ckpt(self, w)
+        CoherentSystem::save_ckpt(self, w)
     }
 
     fn restore_ckpt(&mut self, r: &mut pim_ckpt::Reader<'_>) -> Result<(), pim_ckpt::CkptError> {
-        PimSystem::restore_ckpt(self, r)
+        CoherentSystem::restore_ckpt(self, r)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_cache::SystemConfig;
+    use pim_cache::{PimSystem, SystemConfig};
     use pim_trace::StorageArea;
 
     #[test]

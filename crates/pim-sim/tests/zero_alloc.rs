@@ -8,7 +8,7 @@
 use pim_bus::{BusCommand, Transaction};
 use pim_cache::{CacheGeometry, SystemConfig};
 use pim_perf::Profiler;
-use pim_sim::{IllinoisSystem, MemorySystem};
+use pim_sim::IllinoisSystem;
 use pim_trace::{MemOp, PeId, StorageArea};
 
 #[global_allocator]

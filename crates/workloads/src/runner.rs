@@ -6,7 +6,9 @@ use crate::{reference, Bench, Scale};
 use fghc::Term;
 use kl1_machine::{Cluster, ClusterConfig, FlatPort};
 use pim_bus::BusStats;
-use pim_cache::{AccessStats, LockStats, PimSystem, SystemConfig};
+use pim_cache::{
+    AccessStats, CoherenceProtocol, CoherentSystem, LockStats, PimSystem, SystemConfig,
+};
 use pim_obs::{Fanout, Metrics, Observer, PeCycles, SharedMetrics};
 use pim_sim::{Engine, IllinoisSystem, MemorySystem};
 use pim_trace::{PeId, RefStats};
@@ -366,9 +368,9 @@ fn run_pim_with(
     expect_run(bench, run)
 }
 
-/// The report of a PIM run whose final state passes the coherence
-/// invariants.
-fn checked((report, system): (RunReport, PimSystem)) -> RunReport {
+/// The report of a run whose final state passes the coherence
+/// invariants, under either protocol.
+fn checked<P: CoherenceProtocol>((report, system): (RunReport, CoherentSystem<P>)) -> RunReport {
     system
         .check_coherence_invariants()
         .unwrap_or_else(|e| panic!("coherence invariants after run: {e}"));
@@ -519,7 +521,13 @@ pub fn run_pim_observed(
 /// Runs `bench` on the Illinois baseline with the given configuration.
 pub fn run_illinois(bench: Bench, scale: Scale, config: SystemConfig) -> RunReport {
     let (pes, block) = (config.pes, config.geometry.block_words);
-    run_on_aligned(bench, scale, pes, IllinoisSystem::new(config), block).0
+    checked(run_on_aligned(
+        bench,
+        scale,
+        pes,
+        IllinoisSystem::new(config),
+        block,
+    ))
 }
 
 /// Convenience: flat-port run returning only the raw port (for tests

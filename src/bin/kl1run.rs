@@ -4,7 +4,8 @@
 //! kl1run [options] [run flags] <program.fghc> [goal]
 //!
 //! options:
-//!   --pes N           processing elements (default 8, must be >= 1)
+//!   --pes N           processing elements (default 8, must be >= 1 and
+//!                     fit the storage areas: at most 2896)
 //!   --flat            skip the cache simulation (functional run); not
 //!                     available with --trace, --checkpoint, --resume or
 //!                     --timeout, which need simulated time
@@ -105,6 +106,9 @@ fn main() {
         heap_semispace_words: o.gc,
         ..Default::default()
     };
+    if let Err(e) = cluster_config.check_pes() {
+        h.fail(format_args!("--pes {}: {e}", e.requested));
+    }
     if let Err(e) = cluster_config.check_semispace() {
         h.fail(format_args!("--gc {}: {e}", e.requested));
     }

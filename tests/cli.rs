@@ -139,10 +139,12 @@ fn tracesim_replays_a_trace_file() {
 
 #[test]
 fn kl1run_rejects_zero_pes_with_named_flag() {
-    // Semispaces past the heap slice, and one whose block round-up
-    // overflows, are flag errors too, not panics.
+    // PE counts past the storage layout, semispaces past the heap slice,
+    // and one whose block round-up overflows, are flag errors too, not
+    // panics.
     for (flag, value) in [
         ("--pes", "0"),
+        ("--pes", "100000000"),
         ("--gc", "0"),
         ("--gc", "100000000"),
         ("--gc", "18446744073709551615"),

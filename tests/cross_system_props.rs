@@ -4,7 +4,7 @@
 //! protocol must stay coherent throughout.
 
 use kl1_machine::{Cluster, ClusterConfig};
-use pim_cache::{OptMask, PimSystem, SystemConfig};
+use pim_cache::{CoherenceProtocol, CoherentSystem, OptMask, PimSystem, SystemConfig};
 use pim_repro::report;
 use pim_sim::{Engine, IllinoisSystem, MemorySystem, Replayer};
 use pim_trace::{Access, PeId};
@@ -47,11 +47,13 @@ fn run_flat_answer(xs: &[i64], ys: &[i64], pes: u32) -> fghc::Term {
     c.extract(&port, "R").unwrap()
 }
 
-fn run_sys_answer<S: MemorySystem + 'static>(
+/// The answer of a run on a cached memory system, whose final state must
+/// pass the coherence invariants.
+fn run_sys_answer<P: CoherenceProtocol>(
     xs: &[i64],
     ys: &[i64],
     pes: u32,
-    system: S,
+    system: CoherentSystem<P>,
 ) -> fghc::Term {
     let program = fghc::compile(LIST_OPS).unwrap();
     let mut c = Cluster::new(
@@ -70,6 +72,10 @@ fn run_sys_answer<S: MemorySystem + 'static>(
     let stats = engine.run(&mut c, 500_000_000).expect("fault-free run");
     assert!(stats.finished);
     assert!(c.failure().is_none(), "{:?}", c.failure());
+    engine
+        .system()
+        .check_coherence_invariants()
+        .unwrap_or_else(|e| panic!("coherence invariants after run: {e}"));
     engine.with_port(PeId(0), |p| c.extract(p, "R").unwrap())
 }
 

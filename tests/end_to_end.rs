@@ -143,7 +143,7 @@ fn illinois_system_is_also_a_memory_system_for_the_engine() {
     let mut engine = Engine::new(system, 1);
     let stats = engine.run(&mut cluster, 100_000).expect("fault-free run");
     assert!(stats.finished);
-    assert!(engine.system().ref_stats().total() > 0);
+    assert!(MemorySystem::ref_stats(engine.system()).total() > 0);
 }
 
 #[test]
