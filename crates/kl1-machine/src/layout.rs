@@ -92,14 +92,14 @@ impl Layout {
     /// Whether `pes` PEs fit this layout's map, block size and goal
     /// records (see [`Layout::try_new`]).
     fn fits(&self, pes: u32) -> bool {
-        let pes = u64::from(pes);
         let slices_fit = [
             StorageArea::Heap,
             StorageArea::Goal,
             StorageArea::Suspension,
         ]
         .into_iter()
-        .all(|area| self.map.size(area) / pes / self.align * self.align > self.goal_stride);
+        .all(|area| self.slice_words(area, pes) > self.goal_stride);
+        let pes = u64::from(pes);
         let slots_fit = (pes * pes)
             .checked_mul(self.pair_stride())
             .is_some_and(|words| words <= self.map.size(StorageArea::Communication));
@@ -109,11 +109,15 @@ impl Layout {
     /// The `[base, limit)` slice of `area` belonging to `pe`, aligned to
     /// block boundaries.
     pub fn slice(&self, area: StorageArea, pe: PeId) -> (Addr, Addr) {
-        let base = self.map.base(area);
-        let size = self.map.size(area);
-        let per_pe = size / u64::from(self.pes) / self.align * self.align;
-        let lo = base + per_pe * u64::from(pe.0);
+        let per_pe = self.slice_words(area, self.pes);
+        let lo = self.map.base(area) + per_pe * u64::from(pe.0);
         (lo, lo + per_pe)
+    }
+
+    /// Words in each PE's block-aligned slice of `area` when `pes` PEs
+    /// share it.
+    fn slice_words(&self, area: StorageArea, pes: u32) -> u64 {
+        self.map.size(area) / u64::from(pes) / self.align * self.align
     }
 
     /// The request/reply turnaround buffer for the ordered PE pair

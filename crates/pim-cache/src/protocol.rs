@@ -744,7 +744,7 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
         FillOutcome::Filled(Filled { cycles, source })
     }
 
-    /// Like [`PimSystem::refuse`] but usable from `fill` (returns just the
+    /// Like [`CoherentSystem::refuse`] but usable from `fill` (returns just the
     /// holder id for plumbing through [`FillOutcome`]).
     fn refuse_holder(
         &mut self,

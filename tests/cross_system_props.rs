@@ -4,9 +4,11 @@
 //! protocol must stay coherent throughout.
 
 use kl1_machine::{Cluster, ClusterConfig};
-use pim_cache::{CoherenceProtocol, CoherentSystem, OptMask, PimSystem, SystemConfig};
+use pim_cache::{
+    CoherenceProtocol, CoherentSystem, Illinois, OptMask, Pim, PimSystem, SystemConfig,
+};
 use pim_repro::report;
-use pim_sim::{Engine, IllinoisSystem, MemorySystem, Replayer};
+use pim_sim::{Engine, IllinoisSystem, Replayer};
 use pim_trace::{Access, PeId};
 use proptest::prelude::*;
 use workloads::{Bench, Scale};
@@ -125,30 +127,18 @@ fn capture_bench_trace(bench: Bench, pes: u32) -> Vec<Access> {
     engine.take_trace()
 }
 
-/// The memory system a replay report is pinned for.
-#[derive(Debug, Clone, Copy)]
-enum System {
-    Pim,
-    Illinois,
-}
-
-/// The full serialized `pim-repro/v1` report of one replay on `system`
-/// (envelope, memory statistics, and per-PE cycle accounts, in the
+/// The full serialized `pim-repro/v1` report of one replay on protocol
+/// `P` (envelope, memory statistics, and per-PE cycle accounts, in the
 /// stable pretty form the CLI tools write to disk), digested with FNV-1a.
-fn replay_report_digest(trace: &[Access], pes: u32, system: System) -> u64 {
-    let config = SystemConfig {
-        pes,
-        ..Default::default()
-    };
-    match system {
-        System::Pim => report_digest(trace, pes, PimSystem::new(config)),
-        System::Illinois => report_digest(trace, pes, IllinoisSystem::new(config)),
-    }
-}
-
-fn report_digest<S: MemorySystem>(trace: &[Access], pes: u32, system: S) -> u64 {
+fn replay_report_digest<P: CoherenceProtocol>(trace: &[Access], pes: u32) -> u64 {
     let mut replayer = Replayer::from_merged(trace, pes);
-    let mut engine = Engine::new(system, pes);
+    let mut engine = Engine::new(
+        CoherentSystem::<P>::new(SystemConfig {
+            pes,
+            ..Default::default()
+        }),
+        pes,
+    );
     let stats = engine.run(&mut replayer, u64::MAX).expect("fault-free run");
     assert!(stats.finished);
     let mut doc = report::envelope("differential");
@@ -175,11 +165,18 @@ fn table1_smoke_workloads_replay_identically_at_any_thread_count() {
         let pes = 4;
         let trace = capture_bench_trace(bench, pes);
         assert!(trace.len() > 1_000, "{} trace too small", bench.name());
-        for (system, digest) in [(System::Pim, pim), (System::Illinois, illinois)] {
+        for (system, got, want) in [
+            ("PIM", replay_report_digest::<Pim>(&trace, pes), pim),
+            (
+                "Illinois",
+                replay_report_digest::<Illinois>(&trace, pes),
+                illinois,
+            ),
+        ] {
             assert_eq!(
-                replay_report_digest(&trace, pes, system),
-                digest,
-                "{} on {system:?}: replay report changed",
+                got,
+                want,
+                "{} on {system}: replay report changed",
                 bench.name()
             );
         }
@@ -218,12 +215,15 @@ fn synthetic_traces_replay_identically_at_any_thread_count() {
     ];
     for (name, trace, pim, illinois) in traces {
         let pes = 1 + trace.iter().map(|a| a.pe.0).max().unwrap_or(0);
-        for (system, digest) in [(System::Pim, pim), (System::Illinois, illinois)] {
-            assert_eq!(
-                replay_report_digest(&trace, pes, system),
-                digest,
-                "{name} on {system:?}: replay report changed"
-            );
+        for (system, got, want) in [
+            ("PIM", replay_report_digest::<Pim>(&trace, pes), pim),
+            (
+                "Illinois",
+                replay_report_digest::<Illinois>(&trace, pes),
+                illinois,
+            ),
+        ] {
+            assert_eq!(got, want, "{name} on {system}: replay report changed");
         }
     }
 }
