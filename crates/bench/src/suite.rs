@@ -15,10 +15,11 @@
 //! `--quick` mode) so it can run on every CI push.
 
 use crate::experiments::base_config;
-use pim_cache::{OptMask, PimSystem};
+use pim_bus::BusStats;
+use pim_cache::{AccessStats, LockStats, OptMask, Outcome, PimSystem, ProtocolError};
 use pim_obs::Json;
-use pim_sim::{Engine, Replayer};
-use pim_trace::Access;
+use pim_sim::{Engine, MemorySystem, Process, Replayer};
+use pim_trace::{Access, Addr, AreaMap, MemOp, PeId, RefStats, Word};
 use pim_tracer::JsonExt;
 use workloads::{synthetic, Bench, Scale};
 
@@ -154,6 +155,79 @@ fn replay(trace: &[Access], pes: u32) -> u64 {
     }
 }
 
+/// A memory system that answers every access at once: no cache, no bus,
+/// no locks and no statistics. Under it, an engine run costs only the
+/// scheduler, its port and the process.
+#[derive(Default)]
+struct InstantMemory {
+    map: AreaMap,
+    bus: BusStats,
+    refs: RefStats,
+    accesses: AccessStats,
+    locks: LockStats,
+}
+
+impl MemorySystem for InstantMemory {
+    fn access(
+        &mut self,
+        _pe: PeId,
+        _op: MemOp,
+        _addr: Addr,
+        data: Option<Word>,
+    ) -> Result<Outcome, ProtocolError> {
+        Ok(Outcome::Done {
+            value: data.unwrap_or(0),
+            bus_cycles: 0,
+            hit: true,
+            woken: Vec::new(),
+        })
+    }
+
+    fn area_map(&self) -> &AreaMap {
+        &self.map
+    }
+
+    fn poke(&mut self, _addr: Addr, _value: Word) {}
+
+    fn peek(&self, _addr: Addr) -> Word {
+        0
+    }
+
+    fn bus_stats(&self) -> &BusStats {
+        &self.bus
+    }
+
+    fn ref_stats(&self) -> &RefStats {
+        &self.refs
+    }
+
+    fn access_stats(&self) -> &AccessStats {
+        &self.accesses
+    }
+
+    fn lock_stats(&self) -> &LockStats {
+        &self.locks
+    }
+
+    fn save_ckpt(&self, _w: &mut pim_ckpt::Writer) {}
+
+    fn restore_ckpt(&mut self, _r: &mut pim_ckpt::Reader<'_>) -> Result<(), pim_ckpt::CkptError> {
+        Ok(())
+    }
+}
+
+/// Runs a copy of `replayer` on an [`InstantMemory`] and returns the
+/// engine's step count.
+fn replay_instant(replayer: &Replayer) -> u64 {
+    let mut replayer = replayer.clone();
+    let pes = replayer.pe_count();
+    let mut engine = Engine::new(InstantMemory::default(), pes);
+    match engine.run(&mut replayer, u64::MAX) {
+        Ok(stats) => stats.steps,
+        Err(e) => unreachable!("an instant memory cannot fault: {e}"),
+    }
+}
+
 /// Serializes a mid-run engine snapshot and restores it into a fresh
 /// engine, returning the payload size. One `ckpt/save_restore` item is
 /// one such roundtrip.
@@ -191,6 +265,7 @@ fn table1_run(bench: Bench) -> u64 {
 pub const BENCHMARKS: &[(&str, usize)] = &[
     ("micro/cache_hit", 1),
     ("micro/bus_arbitrate", 1),
+    ("micro/engine_step", 1),
     ("replay/heap-mix", 1),
     ("table1/tri", 1),
     ("table1/pascal", 1),
@@ -244,6 +319,23 @@ pub fn run(mode: Mode, filter: &str, progress: &dyn Fn(&str)) -> Vec<Entry> {
                 }
                 iters * trace.len() as u64
             },
+        ));
+    }
+    if wanted("micro/engine_step") {
+        progress("micro/engine_step");
+        // The heap-mix replay of `replay/heap-mix` over a memory that
+        // answers at once: the engine's price per micro-step.
+        let trace = synthetic::shared_heap_mix(8, 10_000, 30, 1 << 14, 7);
+        let replayer = Replayer::from_merged(&trace, 8);
+        let iters = 50;
+        entries.push(measure(
+            "micro/engine_step",
+            "micro",
+            1,
+            iters,
+            mode,
+            "steps",
+            &|| (0..iters).map(|_| replay_instant(&replayer)).sum::<u64>(),
         ));
     }
     if wanted("replay/heap-mix") {
@@ -481,6 +573,17 @@ mod tests {
         assert!(e.wall_ns.1 <= e.wall_ns.0 && e.wall_ns.0 <= e.wall_ns.2);
         let doc = document(Mode::Quick, &entries);
         assert_eq!(validate(&doc), Ok(1));
+    }
+
+    #[test]
+    fn engine_step_runs_every_access_of_its_trace() {
+        let trace = synthetic::shared_heap_mix(8, 500, 30, 1 << 14, 7);
+        let steps = replay_instant(&Replayer::from_merged(&trace, 8));
+        assert!(steps >= trace.len() as u64, "{steps} steps");
+        let entries = run(Mode::Quick, "micro/engine_step", &|_| {});
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].unit, "steps");
+        assert!(entries[0].items >= 50 * 10_000, "{}", entries[0].items);
     }
 
     #[test]

@@ -14,15 +14,30 @@ enum NumVal {
     NotNum,
 }
 
-impl Cluster {
-    fn const_word(&self, c: Const) -> Word {
-        match c {
-            Const::Int(i) => Tagged::Int(i).encode(),
-            Const::Atom(a) => Tagged::Atom(a).encode(),
-            Const::Nil => Tagged::Nil.encode(),
+fn const_word(c: Const) -> Word {
+    match c {
+        Const::Int(i) => Tagged::Int(i).encode(),
+        Const::Atom(a) => Tagged::Atom(a).encode(),
+        Const::Nil => Tagged::Nil.encode(),
+    }
+}
+
+/// The word a structure/cons slot being built at `slot_addr` receives.
+/// A fresh variable is the slot itself, and its register gets a
+/// reference to it.
+fn slot_word(regs: &mut [Word], slot_addr: Addr, op: SetOp) -> Word {
+    match op {
+        SetOp::Reg(r) => regs[r as usize],
+        SetOp::Const(c) => const_word(c),
+        SetOp::Fresh(r) => {
+            let w = Tagged::Ref(slot_addr).encode();
+            regs[r as usize] = w;
+            w
         }
     }
+}
 
+impl Cluster {
     /// Writes one fresh heap word (`DW` on block boundary).
     fn write_heap(&self, port: &mut dyn MemoryPort, addr: Addr, w: Word) -> Mres<()> {
         let op = if addr.is_multiple_of(self.config.block_words) {
@@ -42,16 +57,7 @@ impl Cluster {
         slot_addr: Addr,
         op: SetOp,
     ) -> Mres<()> {
-        let w = match op {
-            SetOp::Reg(r) => self.pes[pe].regs[r as usize],
-            SetOp::Const(c) => self.const_word(c),
-            SetOp::Fresh(r) => {
-                // The slot itself becomes the variable cell.
-                let w = Tagged::Ref(slot_addr).encode();
-                self.pes[pe].regs[r as usize] = w;
-                w
-            }
-        };
+        let w = slot_word(&mut self.pes[pe].regs, slot_addr, op);
         self.write_heap(port, slot_addr, w)
     }
 
@@ -106,7 +112,10 @@ impl Cluster {
     /// Executes the instruction at the current `pc`.
     pub(crate) fn exec_instr(&mut self, pe: usize, port: &mut dyn MemoryPort) -> Mres<()> {
         let pc = self.pes[pe].pc;
-        let instr = self.program.code[pc].clone();
+        // Borrowed, not cloned. Only `Spawn` and `PutStruct` keep the
+        // borrow into their arm, and there they touch `self.pes` by field
+        // and call `&self` helpers.
+        let instr = &self.program.code[pc];
 
         // Instruction fetch: one counted read per encoded word.
         let fetch_base = self.inst_base + self.program.word_offsets[pc];
@@ -116,7 +125,7 @@ impl Cluster {
         self.pes[pe].instructions += 1;
 
         let next = pc + 1;
-        match instr {
+        match *instr {
             // ---- clause control ----
             Instr::TryClause { next: fail_to } => {
                 self.pes[pe].clause_fail = fail_to;
@@ -188,12 +197,11 @@ impl Cluster {
                 // Same goal continues in registers: no goal-area traffic.
                 self.begin_goal(pe, proc, argc);
             }
-            Instr::Spawn { proc, args } => {
-                let words: Vec<Word> = args
-                    .iter()
-                    .map(|&r| self.pes[pe].regs[r as usize])
-                    .collect();
-                let rec = self.make_goal_record(pe, port, proc, &words)?;
+            Instr::Spawn { proc, ref args } => {
+                let rec = self.pes[pe].alloc.goal_record();
+                let regs = &self.pes[pe].regs;
+                let words = args.iter().map(|&r| regs[r as usize]);
+                self.write_goal_record(port, rec, proc, words)?;
                 self.pes[pe].deque.push_front(rec);
                 self.live_goals += 1;
                 self.pes[pe].pc = next;
@@ -211,7 +219,7 @@ impl Cluster {
                         self.soft_fail(pe);
                     }
                     Deref::Bound(t) => {
-                        let want = Tagged::decode(self.const_word(val));
+                        let want = Tagged::decode(const_word(val));
                         if t == want {
                             self.pes[pe].pc = next;
                         } else {
@@ -334,7 +342,7 @@ impl Cluster {
                 self.pes[pe].pc = next;
             }
             Instr::PutConst { dst, val } => {
-                self.pes[pe].regs[dst as usize] = self.const_word(val);
+                self.pes[pe].regs[dst as usize] = const_word(val);
                 self.pes[pe].pc = next;
             }
             Instr::PutVar { dst } => {
@@ -350,12 +358,18 @@ impl Cluster {
                 self.pes[pe].regs[dst as usize] = Tagged::List(a).encode();
                 self.pes[pe].pc = next;
             }
-            Instr::PutStruct { dst, functor, args } => {
+            Instr::PutStruct {
+                dst,
+                functor,
+                ref args,
+            } => {
                 let n = args.len() as u64;
                 let a = self.pes[pe].alloc.heap(1 + n);
                 self.write_heap(port, a, Tagged::Functor(functor, n as u8).encode())?;
                 for (i, &op) in args.iter().enumerate() {
-                    self.set_slot(pe, port, a + 1 + i as u64, op)?;
+                    let slot = a + 1 + i as u64;
+                    let w = slot_word(&mut self.pes[pe].regs, slot, op);
+                    self.write_heap(port, slot, w)?;
                 }
                 self.pes[pe].regs[dst as usize] = Tagged::Struct(a).encode();
                 self.pes[pe].pc = next;

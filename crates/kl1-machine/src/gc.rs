@@ -121,8 +121,8 @@ impl Cluster {
             for &v in &pe.susp_vars {
                 worklist.push_back(Tagged::Ref(v).encode());
             }
-            if let Phase::Suspend(s) = &pe.phase {
-                for &v in &s.vars {
+            if let Phase::Suspend(_) = pe.phase {
+                for &v in &pe.hook_vars {
                     worklist.push_back(Tagged::Ref(v).encode());
                 }
             }
@@ -266,8 +266,8 @@ impl Cluster {
             for v in pe.susp_vars.iter_mut() {
                 *v = collector.remap(*v);
             }
-            if let Phase::Suspend(s) = &mut pe.phase {
-                for v in s.vars.iter_mut() {
+            if let Phase::Suspend(_) = pe.phase {
+                for v in pe.hook_vars.iter_mut() {
                     *v = collector.remap(*v);
                 }
             }

@@ -111,7 +111,10 @@ impl Default for ClusterConfig {
 }
 
 /// Per-goal-reduction phase of one PE.
-#[derive(Debug, Clone)]
+///
+/// `Copy`, so a step dispatches on it and saves it for undo without
+/// copying anything on the heap.
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Phase {
     /// Needs a goal: pop the local list, consume a reply, or send a
     /// work request.
@@ -122,14 +125,13 @@ pub(crate) enum Phase {
     Suspend(SuspendState),
 }
 
-/// State of an in-progress suspension.
-#[derive(Debug, Clone)]
+/// State of an in-progress suspension. The variables it hooks are the
+/// PE's [`PeState::hook_vars`].
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct SuspendState {
     /// The floating goal record.
     pub rec: Addr,
-    /// The variables to hook (deduplicated).
-    pub vars: Vec<Addr>,
-    /// Next variable index.
+    /// Next index into [`PeState::hook_vars`].
     pub idx: usize,
     /// Whether the current variable's lock is held (across a step
     /// boundary — the source of `LWAIT` conflicts).
@@ -146,6 +148,10 @@ pub(crate) struct PeState {
     pub pc: CodeAddr,
     pub clause_fail: CodeAddr,
     pub susp_vars: Vec<Addr>,
+    /// The variables a [`Phase::Suspend`] hooks, sorted and deduplicated;
+    /// stale in any other phase. Kept here rather than in the phase so
+    /// the phase is `Copy` and the buffer is reused.
+    pub hook_vars: Vec<Addr>,
     pub phase: Phase,
     pub current: Option<(ProcId, u8)>,
     pub deque: VecDeque<Addr>,
@@ -240,6 +246,7 @@ impl Cluster {
                 pc: 0,
                 clause_fail: 0,
                 susp_vars: Vec::new(),
+                hook_vars: Vec::new(),
                 phase: Phase::Fetch,
                 current: None,
                 deque: VecDeque::new(),
@@ -362,14 +369,14 @@ impl Cluster {
         pim_ckpt::fnv1a64(format!("{}", self.program).as_bytes())
     }
 
-    fn save_phase(phase: &Phase, w: &mut pim_ckpt::Writer) {
-        match phase {
+    fn save_phase(pe: &PeState, w: &mut pim_ckpt::Writer) {
+        match pe.phase {
             Phase::Fetch => w.put_u8(0),
             Phase::Run => w.put_u8(1),
             Phase::Suspend(s) => {
                 w.put_u8(2);
                 w.put_u64(s.rec);
-                w.put_u64s(&s.vars);
+                w.put_u64s(&pe.hook_vars);
                 w.put_u64(s.idx as u64);
                 w.put_bool(s.locked);
                 w.put_u64(s.srec);
@@ -377,7 +384,12 @@ impl Cluster {
         }
     }
 
-    fn read_phase(r: &mut pim_ckpt::Reader<'_>) -> Result<Phase, pim_ckpt::CkptError> {
+    /// Reads a phase saved by [`Cluster::save_phase`], restoring a
+    /// suspension's variables into `hook_vars`.
+    fn read_phase(
+        r: &mut pim_ckpt::Reader<'_>,
+        hook_vars: &mut Vec<Addr>,
+    ) -> Result<Phase, pim_ckpt::CkptError> {
         match r.get_u8()? {
             0 => Ok(Phase::Fetch),
             1 => Ok(Phase::Run),
@@ -392,9 +404,9 @@ impl Cluster {
                         detail: format!("suspension index {idx} beyond {} vars", vars.len()),
                     });
                 }
+                *hook_vars = vars;
                 Ok(Phase::Suspend(SuspendState {
                     rec,
-                    vars,
                     idx,
                     locked,
                     srec,
@@ -435,7 +447,7 @@ impl Cluster {
             w.put_u64(pe.pc as u64);
             w.put_u64(pe.clause_fail as u64);
             w.put_u64s(&pe.susp_vars);
-            Cluster::save_phase(&pe.phase, w);
+            Cluster::save_phase(pe, w);
             match pe.current {
                 Some((proc, argc)) => {
                     w.put_bool(true);
@@ -561,7 +573,7 @@ impl Cluster {
             pe.pc = r.get_u64()? as CodeAddr;
             pe.clause_fail = r.get_u64()? as CodeAddr;
             pe.susp_vars = r.get_u64s()?;
-            pe.phase = Cluster::read_phase(r)?;
+            pe.phase = Cluster::read_phase(r, &mut pe.hook_vars)?;
             pe.current = if r.get_bool()? {
                 let proc = r.get_u32()?;
                 if proc as usize >= self.program.proc_names.len() {
@@ -651,9 +663,9 @@ impl Cluster {
         &self,
         port: &mut dyn MemoryPort,
         base: Addr,
-        words: &[Word],
+        words: impl IntoIterator<Item = Word>,
     ) -> Mres<()> {
-        for (i, &w) in words.iter().enumerate() {
+        for (i, w) in words.into_iter().enumerate() {
             let a = base + i as Addr;
             let op = if a.is_multiple_of(self.config.block_words) {
                 MemOp::DirectWrite
@@ -665,17 +677,17 @@ impl Cluster {
         Ok(())
     }
 
-    /// Reads a read-once record: `ER` throughout, `RP` for a final word
-    /// that does not land on a block end (paper Section 3.2).
+    /// Reads a read-once record of `out.len()` words into `out`: `ER`
+    /// throughout, `RP` for a final word that does not land on a block
+    /// end (paper Section 3.2). `bw` is the block size in words.
     pub(crate) fn read_record(
-        &self,
+        bw: u64,
         port: &mut dyn MemoryPort,
         base: Addr,
-        len: u64,
-    ) -> Mres<Vec<Word>> {
-        let bw = self.config.block_words;
-        let mut out = Vec::with_capacity(len as usize);
-        for i in 0..len {
+        out: &mut [Word],
+    ) -> Mres<()> {
+        let len = out.len() as u64;
+        for (i, slot) in (0..len).zip(out) {
             let a = base + i;
             let last_of_region = i == len - 1;
             let ends_block = a % bw == bw - 1;
@@ -684,9 +696,9 @@ impl Cluster {
             } else {
                 MemOp::ExclusiveRead
             };
-            out.push(pv(port.op(op, a, None))?);
+            *slot = pv(port.op(op, a, None))?;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Which PE's suspension slice contains `addr`.
@@ -725,21 +737,17 @@ impl Cluster {
     // Goal management
     // ------------------------------------------------------------------
 
-    /// Creates a goal record from header + argument words and returns its
-    /// address. The record is *not* enqueued.
-    pub(crate) fn make_goal_record(
-        &mut self,
-        pe: usize,
+    /// Writes the goal record at `rec`: its header, then the argument
+    /// words. The record is *not* enqueued.
+    pub(crate) fn write_goal_record(
+        &self,
         port: &mut dyn MemoryPort,
+        rec: Addr,
         proc: ProcId,
-        args: &[Word],
-    ) -> Mres<Addr> {
-        let rec = self.pes[pe].alloc.goal_record();
-        let mut words = Vec::with_capacity(1 + args.len());
-        words.push(Tagged::Functor(proc, args.len() as u8).encode());
-        words.extend_from_slice(args);
-        self.write_record(port, rec, &words)?;
-        Ok(rec)
+        args: impl ExactSizeIterator<Item = Word>,
+    ) -> Mres<()> {
+        let header = Tagged::Functor(proc, args.len() as u8).encode();
+        self.write_record(port, rec, std::iter::once(header).chain(args))
     }
 
     /// Loads the goal record at `rec` into `pe`'s registers and recycles
@@ -766,14 +774,17 @@ impl Cluster {
             }
         };
         if argc > 0 {
-            let args = self.read_record(port, rec + 1, u64::from(argc))?;
+            // Straight into the registers. Goal records are never locked,
+            // so no read here stalls; a corrupt record halts the machine,
+            // after every argument was read.
+            let args = &mut self.pes[pe].regs[..usize::from(argc)];
+            Cluster::read_record(self.config.block_words, port, rec + 1, args)?;
             if let Some(&w) = args.iter().find(|&&w| w == 0) {
                 return Err(Abort::Fatal(MachineError::CorruptGoalRecord {
                     rec,
                     word: w,
                 }));
             }
-            self.pes[pe].regs[..argc as usize].copy_from_slice(&args);
         }
         let owner = self.goal_owner(rec)?;
         self.pes[owner].alloc.free_goal_record(rec);
@@ -940,8 +951,8 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     fn suspend_step(&mut self, pe: usize, port: &mut dyn MemoryPort) -> Mres<StepOutcome> {
-        let mut st = match &self.pes[pe].phase {
-            Phase::Suspend(s) => s.clone(),
+        let mut st = match self.pes[pe].phase {
+            Phase::Suspend(s) => s,
             other => unreachable!("suspend_step in {other:?}"),
         };
         // Already resumed by a binder (possibly spuriously)? Stop hooking.
@@ -951,18 +962,18 @@ impl Cluster {
         }
         if st.locked {
             // Second half: publish the hook and release the lock.
-            let v = st.vars[st.idx];
+            let v = self.pes[pe].hook_vars[st.idx];
             pv(port.write_unlock(v, Tagged::Hook(st.srec).encode()))?;
             st.locked = false;
             st.idx += 1;
-            self.pes[pe].phase = if st.idx == st.vars.len() {
+            self.pes[pe].phase = if st.idx == self.pes[pe].hook_vars.len() {
                 Phase::Fetch
             } else {
                 Phase::Suspend(st)
             };
             return Ok(StepOutcome::Ran);
         }
-        let v = st.vars[st.idx];
+        let v = self.pes[pe].hook_vars[st.idx];
         let w = pv(port.lock_read(v))?; // stall point (nothing held yet)
         match Tagged::decode(w) {
             Tagged::Ref(a) if a == v => {
@@ -971,7 +982,7 @@ impl Cluster {
                 self.write_record(
                     port,
                     srec,
-                    &[Tagged::Ref(st.rec).encode(), Tagged::Nil.encode()],
+                    [Tagged::Ref(st.rec).encode(), Tagged::Nil.encode()],
                 )?;
                 st.srec = srec;
                 st.locked = true;
@@ -983,7 +994,7 @@ impl Cluster {
                 self.write_record(
                     port,
                     srec,
-                    &[Tagged::Ref(st.rec).encode(), Tagged::Ref(prev).encode()],
+                    [Tagged::Ref(st.rec).encode(), Tagged::Ref(prev).encode()],
                 )?;
                 st.srec = srec;
                 st.locked = true;
@@ -1011,12 +1022,17 @@ impl Cluster {
         let Some((proc, argc)) = self.pes[pe].current else {
             unreachable!("suspending without a goal");
         };
-        let mut vars = std::mem::take(&mut self.pes[pe].susp_vars);
-        vars.sort_unstable();
-        vars.dedup();
-        debug_assert!(!vars.is_empty());
-        let args: Vec<Word> = self.pes[pe].regs[..argc as usize].to_vec();
-        let rec = self.make_goal_record(pe, port, proc, &args)?;
+        // The suspending variables become the hook list, and the two
+        // buffers trade places so neither is reallocated.
+        let st = &mut self.pes[pe];
+        std::mem::swap(&mut st.susp_vars, &mut st.hook_vars);
+        st.susp_vars.clear();
+        st.hook_vars.sort_unstable();
+        st.hook_vars.dedup();
+        debug_assert!(!st.hook_vars.is_empty());
+        let rec = st.alloc.goal_record();
+        let args = self.pes[pe].regs[..usize::from(argc)].iter().copied();
+        self.write_goal_record(port, rec, proc, args)?;
         self.floating.insert(rec);
         self.pes[pe].suspensions += 1;
         if let Some(obs) = self.observer.as_deref_mut() {
@@ -1025,7 +1041,6 @@ impl Cluster {
         self.pes[pe].current = None;
         self.pes[pe].phase = Phase::Suspend(SuspendState {
             rec,
-            vars,
             idx: 0,
             locked: false,
             srec: 0,
@@ -1043,7 +1058,7 @@ impl Cluster {
             pc: st.pc,
             clause_fail: st.clause_fail,
             susp_len: st.susp_vars.len(),
-            phase: st.phase.clone(),
+            phase: st.phase,
             current: st.current,
             alloc: st.alloc.mark(),
         }
@@ -1102,7 +1117,7 @@ impl Process for Cluster {
             if self.serve_request(pe, port)? {
                 return Ok(StepOutcome::Ran);
             }
-            match self.pes[pe].phase.clone() {
+            match self.pes[pe].phase {
                 Phase::Fetch => self.fetch_step(pe, port),
                 Phase::Run => {
                     self.exec_instr(pe, port)?;

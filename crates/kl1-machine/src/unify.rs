@@ -207,7 +207,8 @@ impl Cluster {
     ) -> Mres<()> {
         let mut cur = Some(chain);
         while let Some(c) = cur {
-            let words = self.read_record(port, c, SUSP_RECORD_WORDS)?;
+            let mut words = [0; SUSP_RECORD_WORDS as usize];
+            Cluster::read_record(self.config.block_words, port, c, &mut words)?;
             let goal_rec = match Tagged::decode(words[0]) {
                 Tagged::Ref(a) => a,
                 other => panic!("suspension record {c:#x} head {other:?}"),

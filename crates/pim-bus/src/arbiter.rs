@@ -37,6 +37,7 @@ pub struct Grant {
 ///
 /// The requester's clock after the grant is `start + hold == bus_free`
 /// of the returned [`Grant`]; its stall account grows by `wait`.
+#[inline]
 pub fn arbitrate(bus_free: u64, issue: u64, hold: u64) -> Grant {
     let start = issue.max(bus_free);
     Grant {

@@ -58,13 +58,6 @@ impl fmt::Display for BusCommand {
     }
 }
 
-fn tx_index(tx: Transaction) -> usize {
-    let Some(i) = Transaction::ALL.iter().position(|&t| t == tx) else {
-        unreachable!("every Transaction appears in ALL")
-    };
-    i
-}
-
 /// Accumulated bus traffic: raw cycles by storage area (the paper's primary
 /// figure of merit), transaction-pattern counts, bus-command counts, and the
 /// memory-module busy cycles that motivate the `SM` state.
@@ -100,7 +93,7 @@ impl BusStats {
     ) {
         let cycles = timing.cycles(tx, block_words);
         self.cycles_by_area[area.index()] += cycles;
-        self.tx_counts[tx_index(tx)] += 1;
+        self.tx_counts[tx.index()] += 1;
         match tx {
             Transaction::MemoryFetch { swap_out } => {
                 self.swap_ins_by_area[area.index()] += 1;
@@ -217,7 +210,7 @@ impl BusStats {
 
     /// Number of transactions of kind `tx`.
     pub fn tx_count(&self, tx: Transaction) -> u64 {
-        self.tx_counts[tx_index(tx)]
+        self.tx_counts[tx.index()]
     }
 
     /// Number of broadcasts of `cmd`.

@@ -47,6 +47,21 @@ impl Transaction {
         Transaction::Unlock,
     ];
 
+    /// This transaction's position in [`Transaction::ALL`]: the column
+    /// of per-pattern counters.
+    #[inline]
+    pub fn index(self) -> usize {
+        match self {
+            Transaction::MemoryFetch { swap_out: false } => 0,
+            Transaction::MemoryFetch { swap_out: true } => 1,
+            Transaction::CacheToCache { swap_out: false } => 2,
+            Transaction::CacheToCache { swap_out: true } => 3,
+            Transaction::SwapOutOnly => 4,
+            Transaction::Invalidate => 5,
+            Transaction::Unlock => 6,
+        }
+    }
+
     /// Whether this transaction reads or writes shared global memory
     /// (used for the memory-module busy-ratio statistic that motivates the
     /// `SM` state).
@@ -184,6 +199,13 @@ mod tests {
         );
         assert_eq!(t.cycles(Transaction::SwapOutOnly, 4), 5);
         assert_eq!(t.cycles(Transaction::Invalidate, 4), 2);
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, tx) in Transaction::ALL.into_iter().enumerate() {
+            assert_eq!(tx.index(), i, "{tx}");
+        }
     }
 
     #[test]

@@ -283,10 +283,7 @@ impl Metrics {
                             MemOp::ALL
                                 .iter()
                                 .map(|op| {
-                                    (
-                                        op.mnemonic(),
-                                        Json::from(self.bus_grants_by_op[op_index(*op)]),
-                                    )
+                                    (op.mnemonic(), Json::from(self.bus_grants_by_op[op.index()]))
                                 })
                                 .collect::<Vec<_>>(),
                         ),
@@ -350,13 +347,6 @@ fn merge_counts(into: &mut Vec<u64>, from: &[u64]) {
     for (a, b) in into.iter_mut().zip(from.iter()) {
         *a += b;
     }
-}
-
-fn op_index(op: MemOp) -> usize {
-    let Some(i) = MemOp::ALL.iter().position(|&o| o == op) else {
-        unreachable!("every MemOp appears in ALL")
-    };
-    i
 }
 
 fn counts_json(counts: &[u64]) -> Json {
@@ -457,7 +447,7 @@ impl Observer for Metrics {
         self.bus_hold.record(tx_cycles);
         self.bus_wait_by_area[area.index()] += wait;
         self.bus_hold_by_area[area.index()] += tx_cycles;
-        self.bus_grants_by_op[op_index(op)] += 1;
+        self.bus_grants_by_op[op.index()] += 1;
     }
 
     fn lock_wait(

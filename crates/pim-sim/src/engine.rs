@@ -6,6 +6,14 @@
 //! deterministic equivalent of the paper's "cache simulators artificially
 //! synchronize among themselves at each simulated bus request".
 //!
+//! The pick order is a contract: on every micro-step the scheduler picks
+//! the PE that minimizes `(clock, PE id)` among the PEs not blocked on a
+//! lock. A blocked PE is never picked, whatever its clock, and a clock of
+//! `u64::MAX` is as pickable as any other. When every PE is blocked there
+//! is no pick, and the run ends in [`SimError::Deadlock`]. Every pinned
+//! digest depends on this order, and a property test in this module
+//! checks it against the original `min_by_key` expression.
+//!
 //! Timing model per memory operation:
 //!
 //! * cache hit: one PE cycle, no bus;
@@ -259,19 +267,12 @@ impl<S: MemorySystem> Engine<S> {
         let mut steps = 0;
         let mut finished = false;
         while steps < max_steps {
-            // The runnable PE with the lowest clock, ties to lowest id.
             // With on-block cycle detection below, "every PE blocked" is
             // unreachable — but keep a structured fallback.
-            let Some(pe) = self
-                .clocks
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| !self.blocked[i])
-                .min_by_key(|&(i, &c)| (c, i))
-                .map(|(i, _)| PeId(i as u32))
-            else {
+            let Some(pe) = next_pe(&self.clocks, &self.blocked) else {
                 return Err(self.deadlock_error());
             };
+            let pe = PeId(pe as u32);
 
             let clock_before = self.clocks[pe.index()];
             let mut port = EnginePort {
@@ -404,7 +405,7 @@ impl<S: MemorySystem> Engine<S> {
             w.put_len(trace.len());
             for a in trace {
                 w.put_u32(a.pe.0);
-                w.put_u8(mem_op_tag(a.op));
+                w.put_u8(a.op.index() as u8);
                 w.put_u64(a.addr);
                 w.put_u8(a.area.index() as u8);
             }
@@ -508,22 +509,38 @@ impl<S: MemorySystem> Engine<S> {
     }
 }
 
-/// Stable checkpoint tag of a [`MemOp`]: its index in [`MemOp::ALL`].
-fn mem_op_tag(op: MemOp) -> u8 {
-    match MemOp::ALL.iter().position(|&o| o == op) {
-        Some(i) => i as u8,
-        None => unreachable!("MemOp::ALL covers every variant"),
+/// The PE the scheduler steps next: the unblocked PE with the lowest
+/// clock, ties to the lowest id, or `None` when every PE is blocked.
+///
+/// One scan on every step. A blocked PE's key is `u64::MAX`, so the
+/// scan makes one comparison per PE, which the compiler turns into
+/// conditional moves: which PE is lowest changes almost every step, so
+/// a branch on it would mispredict. A key of `u64::MAX` never wins, so
+/// when no PE does, the first unblocked PE (whose clock must be
+/// `u64::MAX`) is the pick. DESIGN "The engine's step loop" gives the
+/// forms measured against this one.
+#[inline]
+fn next_pe(clocks: &[u64], blocked: &[bool]) -> Option<usize> {
+    let mut pick = usize::MAX;
+    let mut low = u64::MAX;
+    for (i, (&clock, &blocked)) in clocks.iter().zip(blocked).enumerate() {
+        let key = clock | u64::from(blocked).wrapping_neg();
+        if key < low {
+            low = key;
+            pick = i;
+        }
     }
+    if pick == usize::MAX {
+        return blocked.iter().position(|&b| !b);
+    }
+    Some(pick)
 }
 
-/// Decodes a [`MemOp`] checkpoint tag.
+/// Decodes a [`MemOp`] checkpoint tag, its [`MemOp::index`].
 fn mem_op_from_tag(tag: u8) -> Result<MemOp, pim_ckpt::CkptError> {
-    MemOp::ALL
-        .get(tag as usize)
-        .copied()
-        .ok_or_else(|| pim_ckpt::CkptError::Corrupt {
-            detail: format!("unknown memory op tag {tag}"),
-        })
+    MemOp::from_index(usize::from(tag)).ok_or_else(|| pim_ckpt::CkptError::Corrupt {
+        detail: format!("unknown memory op tag {tag}"),
+    })
 }
 
 /// Decodes a [`pim_trace::StorageArea`] checkpoint tag.
@@ -910,6 +927,64 @@ mod tests {
             engine.system().lock_stats().lr_refused > 0,
             "PE1 must block"
         );
+    }
+
+    /// The pick as the engine first wrote it, kept as the oracle that
+    /// pins [`next_pe`]'s order.
+    fn oracle_pick(clocks: &[u64], blocked: &[bool]) -> Option<usize> {
+        clocks
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !blocked[i])
+            .min_by_key(|&(i, &c)| (c, i))
+            .map(|(i, _)| i)
+    }
+
+    /// Clocks drawn mostly from a few small values, so ties are common,
+    /// with whole-range values and the top of the range mixed in.
+    fn clock() -> impl proptest::prelude::Strategy<Value = u64> {
+        use proptest::prelude::*;
+        prop_oneof![
+            4 => 0..4u64,
+            2 => any::<u64>(),
+            1 => Just(u64::MAX),
+            1 => Just(u64::MAX - 1),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4_000))]
+        #[test]
+        fn next_pe_matches_the_min_by_key_oracle(
+            pes in proptest::collection::vec((clock(), 0..3u8), 0..17),
+        ) {
+            let clocks: Vec<u64> = pes.iter().map(|&(c, _)| c).collect();
+            // One PE in three blocked, so small machines are often all
+            // blocked.
+            let blocked: Vec<bool> = pes.iter().map(|&(_, b)| b == 0).collect();
+            proptest::prop_assert_eq!(
+                next_pe(&clocks, &blocked),
+                oracle_pick(&clocks, &blocked)
+            );
+        }
+    }
+
+    #[test]
+    fn next_pe_edge_cases_match_the_oracle() {
+        let cases: &[(&[u64], &[bool], Option<usize>)] = &[
+            (&[], &[], None),
+            (&[5, 5, 5], &[true, true, true], None),
+            (&[u64::MAX, u64::MAX], &[false, false], Some(0)),
+            (&[0, u64::MAX], &[true, false], Some(1)),
+            (&[3, u64::MAX, u64::MAX], &[true, false, false], Some(1)),
+            (&[u64::MAX, 7], &[false, false], Some(1)),
+            (&[3, 1, 1, 0], &[false, false, false, true], Some(1)),
+            (&[9, 2, 2], &[false, true, false], Some(2)),
+        ];
+        for &(clocks, blocked, want) in cases {
+            assert_eq!(next_pe(clocks, blocked), want, "{clocks:?} {blocked:?}");
+            assert_eq!(oracle_pick(clocks, blocked), want, "{clocks:?} {blocked:?}");
+        }
     }
 
     #[test]

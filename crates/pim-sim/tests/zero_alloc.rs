@@ -1,15 +1,17 @@
-//! The Illinois miss path allocates nothing.
+//! The Illinois miss path and the engine's step loop allocate nothing.
 //!
-//! This test binary installs `pim-perf`'s counting allocator, builds an
-//! `IllinoisSystem`, touches every memory page the script uses, and then
-//! drives its `access` through every kind of miss inside one `pim-perf`
-//! span. The span's allocation count must be zero.
+//! This test binary installs `pim-perf`'s counting allocator. One test
+//! builds an `IllinoisSystem`, touches every memory page the script
+//! uses, and then drives its `access` through every kind of miss inside
+//! one `pim-perf` span; the span's allocation count must be zero. The
+//! other runs the `Engine` over replays of two lengths and checks that
+//! the step count does not change the allocation count.
 
 use pim_bus::{BusCommand, Transaction};
-use pim_cache::{CacheGeometry, SystemConfig};
+use pim_cache::{CacheGeometry, PimSystem, SystemConfig};
 use pim_perf::Profiler;
-use pim_sim::IllinoisSystem;
-use pim_trace::{MemOp, PeId, StorageArea};
+use pim_sim::{Engine, IllinoisSystem, Replayer};
+use pim_trace::{Access, MemOp, PeId, StorageArea};
 
 #[global_allocator]
 static ALLOC: pim_perf::CountingAlloc = pim_perf::CountingAlloc;
@@ -90,4 +92,62 @@ fn illinois_misses_allocate_nothing() {
     assert!(bus.cmd_count(BusCommand::FetchInvalidate) > 0);
     assert_eq!(sys.peek(h + 1), 101);
     assert_eq!(allocs, 0, "the miss path allocated");
+}
+
+/// Allocations made by one `Engine::run` replaying `len` reads and
+/// writes from four PEs over 256 heap words, on caches small enough
+/// that the replay misses, swaps out and supplies blocks cache to cache.
+/// No access is a lock operation, so no PE ever waits on one.
+fn engine_run_allocations(len: u64) -> u64 {
+    let config = SystemConfig {
+        pes: 4,
+        geometry: CacheGeometry::with_shape(64, 4, 2),
+        ..SystemConfig::default()
+    };
+    let mut system = PimSystem::new(config);
+    let h = system.area_map().base(StorageArea::Heap);
+    for w in 0..256 {
+        system.poke(h + w, w);
+    }
+    let trace: Vec<Access> = (0..len)
+        .map(|k| {
+            let op = if k % 3 == 0 {
+                MemOp::Write
+            } else {
+                MemOp::Read
+            };
+            Access::new(
+                PeId((k % 4) as u32),
+                op,
+                h + (k * 7) % 256,
+                StorageArea::Heap,
+            )
+        })
+        .collect();
+    let mut replayer = Replayer::from_merged(&trace, 4);
+    let mut engine = Engine::new(system, 4);
+    let mut steps = 0;
+    let allocs = allocations_in(|| {
+        let stats = engine.run(&mut replayer, u64::MAX).expect("fault-free run");
+        assert!(stats.finished);
+        steps = stats.steps;
+    });
+    assert!(steps >= len, "{steps} steps for {len} accesses");
+    let bus = engine.system().bus_stats();
+    for tx in [
+        Transaction::MemoryFetch { swap_out: true },
+        Transaction::CacheToCache { swap_out: false },
+    ] {
+        assert!(bus.tx_count(tx) > 0, "the replay exercises {tx:?}");
+    }
+    allocs
+}
+
+#[test]
+fn engine_steps_allocate_nothing() {
+    let short = engine_run_allocations(1_000);
+    let long = engine_run_allocations(100_000);
+    assert_eq!(short, long, "allocations grew with the step count");
+    // `RunStats::pe_clocks` and `RunStats::pe_cycles`.
+    assert_eq!(short, 2, "only the two RunStats vectors are allocated");
 }

@@ -13,6 +13,7 @@ pub struct PeId(pub u32);
 
 impl PeId {
     /// Dense index for per-PE arrays.
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -41,6 +42,7 @@ pub struct Access {
 
 impl Access {
     /// Creates an access record.
+    #[inline]
     pub fn new(pe: PeId, op: MemOp, addr: Addr, area: StorageArea) -> Access {
         Access { pe, op, addr, area }
     }

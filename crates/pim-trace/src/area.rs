@@ -45,6 +45,7 @@ impl StorageArea {
     }
 
     /// Index into dense per-area arrays.
+    #[inline]
     pub fn index(self) -> usize {
         match self {
             StorageArea::Instruction => 0,
@@ -124,6 +125,7 @@ impl AreaMap {
     }
 
     /// The first address of `area`.
+    #[inline]
     pub fn base(&self, area: StorageArea) -> Addr {
         self.bases[area.index()]
     }
@@ -154,6 +156,7 @@ impl AreaMap {
     ///
     /// Panics if `addr` lies outside every area — that is always a bug in
     /// the abstract machine, not a recoverable condition.
+    #[inline]
     pub fn area(&self, addr: Addr) -> StorageArea {
         assert!(
             addr < self.end,

@@ -60,6 +60,20 @@ impl MemOp {
         MemOp::Unlock,
     ];
 
+    /// This operation's position in [`MemOp::ALL`]: the column of
+    /// per-op counters, and the stable tag of checkpoints and traces.
+    #[inline]
+    pub fn index(self) -> usize {
+        // Declaration order is `ALL` order; a unit test pins the two.
+        self as usize
+    }
+
+    /// The operation at `index` in [`MemOp::ALL`], if there is one.
+    #[inline]
+    pub fn from_index(index: usize) -> Option<MemOp> {
+        MemOp::ALL.get(index).copied()
+    }
+
     /// Returns `true` if the operation delivers data to the processor.
     ///
     /// `LR` both locks and reads; `U` moves no data at all.
@@ -189,6 +203,16 @@ impl fmt::Display for OpClass {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn index_is_the_position_in_all_and_round_trips() {
+        for (i, op) in MemOp::ALL.into_iter().enumerate() {
+            assert_eq!(op.index(), i, "{op}");
+            assert_eq!(MemOp::from_index(i), Some(op), "{op}");
+        }
+        assert_eq!(MemOp::from_index(MemOp::ALL.len()), None);
+        assert_eq!(MemOp::from_index(usize::MAX), None);
+    }
 
     #[test]
     fn downgrades_strip_optimizations() {

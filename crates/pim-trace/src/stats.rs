@@ -23,13 +23,6 @@ pub struct RefStats {
     counts: [[u64; 10]; 5],
 }
 
-fn op_index(op: MemOp) -> usize {
-    let Some(i) = MemOp::ALL.iter().position(|&o| o == op) else {
-        unreachable!("every MemOp appears in ALL")
-    };
-    i
-}
-
 impl RefStats {
     /// Creates an empty accumulator.
     pub fn new() -> RefStats {
@@ -37,13 +30,14 @@ impl RefStats {
     }
 
     /// Records one access.
+    #[inline]
     pub fn record(&mut self, access: Access) {
-        self.counts[access.area.index()][op_index(access.op)] += 1;
+        self.counts[access.area.index()][access.op.index()] += 1;
     }
 
     /// Count for one (area, op) cell.
     pub fn count(&self, area: StorageArea, op: MemOp) -> u64 {
-        self.counts[area.index()][op_index(op)]
+        self.counts[area.index()][op.index()]
     }
 
     /// Total references to `area` across all operations.

@@ -274,7 +274,7 @@ fn save_event(ev: &Event, w: &mut pim_ckpt::Writer) {
             hold,
         } => {
             w.put_u8(1);
-            w.put_u8(op_tag(*op));
+            w.put_u8(op.index() as u8);
             w.put_u8(area.index() as u8);
             w.put_u64(*wait);
             w.put_u64(*hold);
@@ -400,20 +400,10 @@ fn read_event(r: &mut pim_ckpt::Reader<'_>) -> Result<Event, pim_ckpt::CkptError
     Ok(Event { ts, pe, kind })
 }
 
-fn op_tag(op: MemOp) -> u8 {
-    match MemOp::ALL.iter().position(|&o| o == op) {
-        Some(i) => i as u8,
-        None => unreachable!("MemOp::ALL covers every variant"),
-    }
-}
-
 fn op_from_tag(tag: u8) -> Result<MemOp, pim_ckpt::CkptError> {
-    MemOp::ALL
-        .get(tag as usize)
-        .copied()
-        .ok_or_else(|| pim_ckpt::CkptError::Corrupt {
-            detail: format!("unknown memory op tag {tag}"),
-        })
+    MemOp::from_index(usize::from(tag)).ok_or_else(|| pim_ckpt::CkptError::Corrupt {
+        detail: format!("unknown memory op tag {tag}"),
+    })
 }
 
 fn area_from_tag(tag: u8) -> Result<StorageArea, pim_ckpt::CkptError> {
