@@ -7,7 +7,7 @@
 //! ```
 //!
 //! `run` executes the fixed deterministic micro+macro suite and writes a
-//! schema-versioned `pim-bench/v1` document (default `BENCH_0029.json`).
+//! schema-versioned `pim-bench/v1` document (default `BENCH_0030.json`).
 //! The committed `BENCH_*.json` files at the repo root form the
 //! project's performance trajectory, one per perf-relevant PR.
 //!
@@ -23,7 +23,7 @@
 
 use bench::suite::{self, Mode};
 
-const DEFAULT_OUT: &str = "BENCH_0029.json";
+const DEFAULT_OUT: &str = "BENCH_0030.json";
 
 fn usage() -> ! {
     eprintln!(

@@ -8,7 +8,7 @@ use pim_obs::Json;
 use pim_tracer::JsonExt;
 
 fn load_baseline() -> Json {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_0029.json");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_0030.json");
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("committed baseline {path} must be readable: {e}"));
     pim_tracer::parse_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"))

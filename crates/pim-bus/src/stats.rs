@@ -83,14 +83,16 @@ impl BusStats {
     }
 
     /// Records one completed transaction attributed to `area`, with its
-    /// cycle cost computed from `timing` for `block_words`-word blocks.
+    /// cycle cost computed from `timing` for `block_words`-word blocks,
+    /// and returns that cost: the cycles charged here and the cycles a
+    /// caller hands on are one number.
     pub fn record_tx(
         &mut self,
         tx: Transaction,
         area: StorageArea,
         timing: &BusTiming,
         block_words: u64,
-    ) {
+    ) -> u64 {
         let cycles = timing.cycles(tx, block_words);
         self.cycles_by_area[area.index()] += cycles;
         self.tx_counts[tx.index()] += 1;
@@ -118,6 +120,7 @@ impl BusStats {
             }
             Transaction::Invalidate | Transaction::Unlock => {}
         }
+        cycles
     }
 
     /// Records a bus command broadcast (for command-mix statistics; the
@@ -290,6 +293,18 @@ mod tests {
         assert_eq!(s.area_cycles(StorageArea::Communication), 2);
         assert_eq!(s.total_cycles(), 15);
         assert!((s.area_cycle_pct(StorageArea::Heap) - 100.0 * 13.0 / 15.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn record_tx_returns_the_cycles_it_charged() {
+        let timing = BusTiming::paper_default();
+        let mut s = BusStats::new();
+        for (k, tx) in Transaction::ALL.into_iter().enumerate() {
+            let before = s.area_cycles(StorageArea::Heap);
+            let charged = s.record_tx(tx, StorageArea::Heap, &timing, 1 << k);
+            assert_eq!(charged, timing.cycles(tx, 1 << k), "{tx:?}");
+            assert_eq!(s.area_cycles(StorageArea::Heap) - before, charged, "{tx:?}");
+        }
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub mod rules;
 pub mod state;
 pub mod stats;
 
-pub use array::CacheArray;
+pub use array::{CacheBank, Line};
 pub use error::ProtocolError;
 pub use geometry::{CacheGeometry, ShapeError};
 pub use lockdir::{LockDirectory, LockState};

@@ -1,4 +1,4 @@
-//! The coherence engine: N per-PE caches and lock directories around a
+//! The coherence engine: N PEs' caches and lock directories around a
 //! snooping bus and one shared memory.
 //!
 //! [`CoherentSystem`] is driven one memory operation at a time and is fully
@@ -20,6 +20,22 @@
 //!   commands, reference mixes, hit ratios and lock ratios for the paper's
 //!   tables and figures.
 //!
+//! # One cache bank, one snoop per bus command
+//!
+//! Every PE's cache lives in one [`CacheBank`], stored set-major: a set's
+//! row holds PE 0's ways, then PE 1's, and so on. In the paper's machine
+//! every cache directory checks each bus command at once (Section 3);
+//! here one scan of the block's row answers it. An access finds the
+//! requester's line once and every step acts on that [`Line`] handle;
+//! `fill` returns the line it installed. A bus command snoops once: the
+//! pass yields each remote PE's line holding the block, in PE order,
+//! and the supplier — the first dirty holder, else the lowest-numbered
+//! one. The `FI` copy and invalidations, the `F` supplier's state change,
+//! an upgrade's `I` invalidations, the `DW` contract check and `ER`'s
+//! supplier test all reuse that pass, and invalidations and observer
+//! events come in PE order. A count of the locks held across all lock
+//! directories skips the lock snoop while no lock is held.
+//!
 //! # Locking and the `LH` response
 //!
 //! A PE's lock directory snoops the bus and refuses (responds `LH` to) any
@@ -40,13 +56,13 @@
 //!
 //! The engine is generic over its protocol, so it is compiled in each
 //! crate that instantiates it, not in this one. The per-access helpers it
-//! calls (the cache array, lock directory, geometry, block-state and
+//! calls (the cache bank, lock directory, geometry, block-state and
 //! optimization-mask methods) are `#[inline]` so that those calls can
 //! still be inlined there; without that, simbench's miss-heavy
 //! `replay-heap-mix` replay ran about 9 % slower on a 2-vCPU host than
 //! the same code compiled in this crate.
 
-use crate::array::{CacheArray, Eviction, DW_POISON};
+use crate::array::{CacheBank, Eviction, Line, DW_POISON};
 use crate::rules::CoherenceProtocol;
 use crate::{
     AccessStats, BlockState, CacheGeometry, LockDirectory, LockState, LockStats, OptMask,
@@ -147,19 +163,17 @@ enum FillSource {
 struct Filled {
     cycles: u64,
     source: FillSource,
+    /// The requester's line the block was installed in (`None` for the
+    /// `RP` bypass).
+    line: Option<Line>,
 }
 
-enum FillOutcome {
-    Filled(Filled),
-    Refused { holder: PeId },
-}
-
-/// One PE's private side of the system: its cache array and its lock
-/// directory.
-#[derive(Debug, Clone)]
-struct Pe {
-    cache: CacheArray,
-    lockdir: LockDirectory,
+impl Filled {
+    /// The line of a fill that installed its block.
+    fn line(&self) -> Line {
+        self.line
+            .unwrap_or_else(|| unreachable!("the fill installed its block"))
+    }
 }
 
 /// A snooping multiprocessor memory system running protocol `P`: the PIM
@@ -169,7 +183,13 @@ struct Pe {
 pub struct CoherentSystem<P> {
     protocol: PhantomData<P>,
     config: SystemConfig,
-    pes: Vec<Pe>,
+    /// Every PE's cache, one row per set.
+    bank: CacheBank,
+    /// Each PE's lock directory.
+    lockdirs: Vec<LockDirectory>,
+    /// Locks held across all lock directories: while it is zero no `LH`
+    /// refusal is possible and the lock snoop is skipped.
+    locks_held: usize,
     memory: SharedMemory,
     bus: BusStats,
     refs: RefStats,
@@ -186,6 +206,9 @@ pub struct CoherentSystem<P> {
     /// One block of scratch receiving the victim's words when an install
     /// displaces a valid line.
     evict_buf: Vec<Word>,
+    /// The last snoop's remote holders, in PE order; room for `pes` lines
+    /// is allocated once here.
+    holders: Vec<Line>,
 }
 
 impl<P: CoherenceProtocol> Clone for CoherentSystem<P> {
@@ -197,7 +220,9 @@ impl<P: CoherenceProtocol> Clone for CoherentSystem<P> {
         CoherentSystem {
             protocol: PhantomData,
             config: self.config.clone(),
-            pes: self.pes.clone(),
+            bank: self.bank.clone(),
+            lockdirs: self.lockdirs.clone(),
+            locks_held: self.locks_held,
             memory: self.memory.clone(),
             bus: self.bus.clone(),
             refs: self.refs.clone(),
@@ -207,6 +232,7 @@ impl<P: CoherenceProtocol> Clone for CoherentSystem<P> {
             now: self.now,
             fill_buf: self.fill_buf.clone(),
             evict_buf: self.evict_buf.clone(),
+            holders: Vec::with_capacity(self.lockdirs.len()),
         }
     }
 }
@@ -219,17 +245,14 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
     /// Panics if `config.pes` is zero.
     pub fn new(config: SystemConfig) -> CoherentSystem<P> {
         assert!(config.pes > 0, "need at least one PE");
-        let pes = (0..config.pes)
-            .map(|_| Pe {
-                cache: CacheArray::new(config.geometry),
-                lockdir: LockDirectory::new(config.lock_entries),
-            })
-            .collect();
+        let pes = config.pes as usize;
         let block = vec![0; config.geometry.block_words as usize];
         CoherentSystem {
             protocol: PhantomData,
+            bank: CacheBank::new(config.geometry, pes),
+            lockdirs: vec![LockDirectory::new(config.lock_entries); pes],
+            locks_held: 0,
             config,
-            pes,
             memory: SharedMemory::new(),
             bus: BusStats::new(),
             refs: RefStats::new(),
@@ -239,17 +262,18 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
             now: 0,
             fill_buf: block.clone(),
             evict_buf: block,
+            holders: Vec::with_capacity(pes),
         }
     }
 
     /// Checkpoint hook: serializes the complete coherence state — every
-    /// PE's cache array and lock directory, the shared memory, and the
+    /// PE's cache and lock directory, the shared memory, and the
     /// system-level statistics accumulators.
     pub fn save_ckpt(&self, w: &mut pim_ckpt::Writer) {
-        w.put_len(self.pes.len());
-        for pe in &self.pes {
-            pe.cache.save_ckpt(w);
-            pe.lockdir.save_ckpt(w);
+        w.put_len(self.lockdirs.len());
+        for (i, lockdir) in self.lockdirs.iter().enumerate() {
+            self.bank.save_ckpt(PeId(i as u32), w);
+            lockdir.save_ckpt(w);
         }
         self.memory.save_ckpt(w);
         self.bus.save_ckpt(w);
@@ -293,15 +317,16 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
         r: &mut pim_ckpt::Reader<'_>,
     ) -> Result<(), pim_ckpt::CkptError> {
         let n = r.get_len()?;
-        if n != self.pes.len() {
+        if n != self.lockdirs.len() {
             return Err(pim_ckpt::CkptError::Mismatch {
-                detail: format!("system has {} PEs, checkpoint has {n}", self.pes.len()),
+                detail: format!("system has {} PEs, checkpoint has {n}", self.lockdirs.len()),
             });
         }
-        for pe in self.pes.iter_mut() {
-            pe.cache.restore_ckpt(r)?;
-            pe.lockdir.restore_ckpt(r)?;
+        for (i, lockdir) in self.lockdirs.iter_mut().enumerate() {
+            self.bank.restore_ckpt(PeId(i as u32), r)?;
+            lockdir.restore_ckpt(r)?;
         }
+        self.locks_held = self.lockdirs.iter().map(LockDirectory::len).sum();
         self.memory.restore_ckpt(r)?;
         self.bus.restore_ckpt(r)?;
         self.refs.restore_ckpt(r)?;
@@ -342,11 +367,10 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
     /// and its registered waiters, if any PE holds a lock on that word
     /// (testing hook for lock-invariant checks).
     pub fn lock_holder(&self, addr: Addr) -> Option<(PeId, Vec<PeId>)> {
-        self.pes.iter().enumerate().find_map(|(i, p)| {
-            p.lockdir
-                .holds(addr)
-                .then(|| (PeId(i as u32), p.lockdir.waiters(addr)))
-        })
+        self.lockdirs
+            .iter()
+            .enumerate()
+            .find_map(|(i, d)| d.holds(addr).then(|| (PeId(i as u32), d.waiters(addr))))
     }
 
     /// The cache-side view of `addr`'s block in `pe`'s cache: its protocol
@@ -354,15 +378,14 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
     /// model checking — excludes replacement bookkeeping on purpose, so two
     /// systems with equal views are behaviorally equivalent on one block).
     pub fn cache_view(&self, pe: PeId, addr: Addr) -> Option<(BlockState, Vec<Word>)> {
-        let cache = &self.pes[pe.index()].cache;
-        let words = cache.block(addr)?.to_vec();
-        Some((cache.state_of(addr), words))
+        let line = self.bank.find(pe, addr)?;
+        Some((self.bank.state(line), self.bank.block(line).to_vec()))
     }
 
     /// The lock-directory view of `addr` in `pe`'s own directory: its entry
     /// state and registered waiters, or `None` when absent (testing hook).
     pub fn lock_view(&self, pe: PeId, addr: Addr) -> Option<(LockState, Vec<PeId>)> {
-        let lockdir = &self.pes[pe.index()].lockdir;
+        let lockdir = &self.lockdirs[pe.index()];
         let state = lockdir.state_of(addr)?;
         Some((state, lockdir.waiters(addr)))
     }
@@ -415,7 +438,7 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
     /// load program text and boot images before measurement starts.
     pub fn poke(&mut self, addr: Addr, value: Word) {
         debug_assert!(
-            !self.pes.iter().any(|p| p.cache.contains(addr)),
+            self.bank.copies(addr).next().is_none(),
             "poke under a cached block"
         );
         self.memory.write(addr, value);
@@ -425,12 +448,10 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
     /// inspection after a run. Prefers a cached copy (the freshest data)
     /// over memory.
     pub fn peek(&self, addr: Addr) -> Word {
-        for pe in &self.pes {
-            if let Some(v) = pe.cache.snapshot_word(addr) {
-                return v;
-            }
+        match self.bank.copies(addr).next() {
+            Some(line) => self.bank.word(line, addr),
+            None => self.memory.read(addr),
         }
-        self.memory.read(addr)
     }
 
     /// Performs one memory operation for `pe`.
@@ -455,26 +476,35 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
         addr: Addr,
         data: Option<Word>,
     ) -> Result<Outcome, ProtocolError> {
-        assert!((pe.index()) < self.pes.len(), "unknown {pe}");
+        assert!((pe.index()) < self.lockdirs.len(), "unknown {pe}");
         let area = self.config.area_map.area(addr);
         let eff = if P::OPTIMIZED_COMMANDS {
             self.config.opt_mask.effective(area, op)
         } else {
             op.downgraded()
         };
+        // The requester's line, found once: every operation acts on it.
+        let local = self.bank.find(pe, addr);
+        let geom = self.config.geometry;
 
         let outcome = match eff {
-            MemOp::Read => self.read(pe, addr, area),
-            MemOp::Write => self.write(pe, addr, expect_data(eff, data), area),
-            MemOp::DirectWrite => self.direct_write(pe, addr, expect_data(eff, data), area),
-            MemOp::DirectWriteDown => {
-                self.direct_write_down(pe, addr, expect_data(eff, data), area)
+            MemOp::Read => self.read(pe, local, addr, area),
+            MemOp::Write => self.write(pe, local, addr, expect_data(eff, data), area),
+            MemOp::DirectWrite => {
+                let first = geom.is_block_boundary(addr);
+                self.direct_write(pe, local, addr, expect_data(eff, data), first, area)
             }
-            MemOp::ExclusiveRead => self.exclusive_read(pe, addr, area),
-            MemOp::ReadPurge => self.read_purge(pe, addr, area),
-            MemOp::ReadInvalidate => self.read_invalidate(pe, addr, area),
-            MemOp::LockRead => self.lock_read(pe, addr, area)?,
-            MemOp::WriteUnlock => self.write_unlock(pe, addr, expect_data(eff, data), area)?,
+            MemOp::DirectWriteDown => {
+                let first = geom.is_last_word(addr);
+                self.direct_write(pe, local, addr, expect_data(eff, data), first, area)
+            }
+            MemOp::ExclusiveRead => self.exclusive_read(pe, local, addr, area),
+            MemOp::ReadPurge => self.read_purge(pe, local, addr, area),
+            MemOp::ReadInvalidate => self.read_invalidate(pe, local, addr, area),
+            MemOp::LockRead => self.lock_read(pe, local, addr, area)?,
+            MemOp::WriteUnlock => {
+                self.write_unlock(pe, local, addr, expect_data(eff, data), area)?
+            }
             MemOp::Unlock => self.unlock(pe, addr, area)?,
         };
 
@@ -485,8 +515,8 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
     }
 
     // ------------------------------------------------------------------
-    // Observer-aware cache mutation (every state change funnels through
-    // these four wrappers; with no observer they are plain forwards)
+    // Observer-aware line mutation (every state change funnels through
+    // these three; with no observer they only touch the bank)
     // ------------------------------------------------------------------
 
     fn emit_transition(&mut self, pe: PeId, addr: Addr, from: BlockState, to: BlockState) {
@@ -496,202 +526,132 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
         }
     }
 
-    fn cache_write(&mut self, pe: PeId, addr: Addr, value: Word, state: BlockState) -> bool {
-        if self.observer.is_none() {
-            return self.pes[pe.index()].cache.write(addr, value, state);
+    /// Writes `value` at `addr` into `line`, moving it to `state`.
+    fn write_line(&mut self, line: Line, addr: Addr, value: Word, state: BlockState) {
+        let from = self.bank.state(line);
+        self.bank.write(line, addr, value, state);
+        if from != state {
+            self.emit_transition(line.pe(), addr, from, state);
         }
-        let from = self.pes[pe.index()].cache.state_of(addr);
-        let wrote = self.pes[pe.index()].cache.write(addr, value, state);
-        if wrote && from != state {
-            self.emit_transition(pe, addr, from, state);
-        }
-        wrote
     }
 
-    /// Reads a word the protocol has just verified (or made) resident
-    /// in `pe`'s cache. Residency is an invariant at every call site,
-    /// so a miss here is a protocol bug, not a recoverable condition.
-    fn read_resident(&mut self, pe: PeId, addr: Addr) -> Word {
-        let Some(value) = self.pes[pe.index()].cache.read(addr) else {
-            unreachable!("word {addr:#x} verified resident on PE{}", pe.0)
-        };
-        value
+    /// Moves `line` (holding `addr`) to `state` without touching data or
+    /// LRU; returns the old state.
+    fn set_line_state(&mut self, line: Line, addr: Addr, state: BlockState) -> BlockState {
+        let from = self.bank.set_state(line, state);
+        if from != state {
+            self.emit_transition(line.pe(), addr, from, state);
+        }
+        from
     }
 
-    fn cache_set_state(&mut self, pe: PeId, addr: Addr, state: BlockState) -> bool {
-        if self.observer.is_none() {
-            return self.pes[pe.index()].cache.set_state(addr, state);
-        }
-        let from = self.pes[pe.index()].cache.state_of(addr);
-        let changed = self.pes[pe.index()].cache.set_state(addr, state);
-        if changed && from != state {
-            self.emit_transition(pe, addr, from, state);
-        }
-        changed
-    }
-
-    fn cache_invalidate(&mut self, pe: PeId, addr: Addr) -> Option<BlockState> {
-        let dropped = self.pes[pe.index()].cache.invalidate(addr);
-        if self.observer.is_some() {
-            if let Some(from) = dropped {
-                self.emit_transition(pe, addr, from, BlockState::Inv);
-            }
-        }
-        dropped
-    }
-
-    /// Installs the block in `self.fill_buf` into `pe`'s cache. A displaced
-    /// valid line's words land in `self.evict_buf`.
-    fn cache_install(&mut self, pe: PeId, base: Addr, state: BlockState) -> Option<Eviction> {
-        let evicted =
-            self.pes[pe.index()]
-                .cache
-                .install(base, &self.fill_buf, state, &mut self.evict_buf);
+    /// Installs the block in `self.fill_buf` into `pe`'s cache and
+    /// returns its line. A displaced valid line's words land in
+    /// `self.evict_buf`.
+    fn install(&mut self, pe: PeId, base: Addr, state: BlockState) -> (Line, Option<Eviction>) {
+        let (line, evicted) =
+            self.bank
+                .install(pe, base, &self.fill_buf, state, &mut self.evict_buf);
         if self.observer.is_some() {
             if let Some(ev) = evicted {
                 self.emit_transition(pe, ev.base, ev.state, BlockState::Inv);
             }
             self.emit_transition(pe, base, BlockState::Inv, state);
         }
-        evicted
+        (line, evicted)
     }
 
     // ------------------------------------------------------------------
     // Snooping helpers
     // ------------------------------------------------------------------
 
-    /// A remote lock directory holding a word inside `base`'s block, if
-    /// any: `(holder, locked word)`.
-    fn lock_conflict(&self, requester: PeId, base: Addr) -> Option<(PeId, Addr)> {
+    /// The `LH` response to `requester`'s bus command on `base`'s block:
+    /// if a remote lock directory holds a word inside the block, registers
+    /// `requester` as a busy-waiter on that lock, charges the refused bus
+    /// request and returns the holder.
+    fn lock_refusal(&mut self, requester: PeId, base: Addr, area: StorageArea) -> Option<PeId> {
+        if self.locks_held == 0 {
+            return None;
+        }
         let bw = self.config.geometry.block_words;
-        self.pes.iter().enumerate().find_map(|(i, p)| {
+        let (holder, word) = self.lockdirs.iter().enumerate().find_map(|(i, d)| {
             if i == requester.index() {
                 return None;
             }
-            p.lockdir
-                .locked_word_in_block(base, bw)
-                .map(|w| (PeId(i as u32), w))
-        })
-    }
-
-    /// Registers `requester` as a busy-waiter on `holder`'s lock and
-    /// charges the refused bus request.
-    fn refuse(
-        &mut self,
-        requester: PeId,
-        holder: PeId,
-        locked_word: Addr,
-        area: StorageArea,
-    ) -> Outcome {
-        self.pes[holder.index()]
-            .lockdir
-            .register_waiter(locked_word, requester);
+            d.locked_word_in_block(base, bw).map(|w| (i, w))
+        })?;
+        self.lockdirs[holder].register_waiter(word, requester);
         self.lock_stats.lr_refused += 1;
         self.bus.record_refusal(area);
-        Outcome::LockBusy { holder }
+        Some(PeId(holder as u32))
     }
 
-    /// The PE that will supply a block cache-to-cache: prefers the dirty
-    /// owner, falls back to the lowest-numbered valid holder.
-    fn find_supplier(&self, requester: PeId, base: Addr) -> Option<(PeId, BlockState)> {
-        let mut clean = None;
-        for (i, p) in self.pes.iter().enumerate() {
-            if i == requester.index() {
-                continue;
-            }
-            let state = p.cache.state_of(base);
-            if state.is_dirty() {
-                return Some((PeId(i as u32), state));
-            }
-            if state.is_valid() && clean.is_none() {
-                clean = Some((PeId(i as u32), state));
-            }
-        }
-        clean
-    }
-
-    /// Whether any other cache holds `base` (the `DW` contract check).
-    fn held_remotely(&self, requester: PeId, base: Addr) -> bool {
-        self.pes
-            .iter()
-            .enumerate()
-            .any(|(i, p)| i != requester.index() && p.cache.contains(base))
+    /// Snoops `base`'s block for `requester`: every other PE's line
+    /// holding it lands in `self.holders` (PE order), and the supplier —
+    /// the first dirty holder, else the lowest-numbered one — is returned.
+    fn snoop(&mut self, requester: PeId, base: Addr) -> Option<Line> {
+        self.bank.snoop(requester, base, &mut self.holders)
     }
 
     // ------------------------------------------------------------------
     // The fill engine (F / FI bus transactions)
     // ------------------------------------------------------------------
 
-    /// Acquires the block containing `addr` for `pe` via the bus.
-    ///
-    /// `exclusive` selects `FI` (invalidate all other copies, no memory
-    /// copy-back of dirty data — the `SM`-state optimization) over `F`
-    /// (supplier keeps a shared copy). Under a protocol whose dirty supply
-    /// does not migrate, a dirty block is reflected into memory first and
-    /// the transfer proceeds as a clean one. `install` controls whether the
-    /// block enters `pe`'s cache (false for the `RP` bypass). `with_lock`
-    /// adds an `LK` broadcast riding on the command. The block's words
-    /// are left in `self.fill_buf`.
+    /// Snoops for and acquires the block containing `addr` for `pe` via
+    /// the bus (see [`CoherentSystem::fill_from`]).
     fn fill(
         &mut self,
         pe: PeId,
         addr: Addr,
         exclusive: bool,
         install: bool,
-        with_lock: bool,
         area: StorageArea,
-    ) -> FillOutcome {
-        let geom = self.config.geometry;
-        let base = geom.block_base(addr);
-        let bw = geom.block_words;
+    ) -> Result<Filled, PeId> {
+        let base = self.config.geometry.block_base(addr);
+        let supplier = self.snoop(pe, base);
+        self.fill_from(pe, base, supplier, exclusive, install, area)
+    }
 
-        if let Some((holder, word)) = self.lock_conflict(pe, base) {
-            return FillOutcome::Refused {
-                holder: self.refuse_holder(pe, holder, word, area),
-            };
+    /// Acquires `base`'s block for `pe` via the bus, given the snoop that
+    /// found `supplier` (its remote holders are in `self.holders`).
+    /// Returns `Err(holder)` on an `LH` refusal.
+    ///
+    /// `exclusive` selects `FI` (invalidate all other copies, no memory
+    /// copy-back of dirty data — the `SM`-state optimization) over `F`
+    /// (supplier keeps a shared copy). Under a protocol whose dirty supply
+    /// does not migrate, a dirty block is reflected into memory first and
+    /// the transfer proceeds as a clean one. `install` controls whether the
+    /// block enters `pe`'s cache (false for the `RP` bypass). The block's
+    /// words are left in `self.fill_buf`.
+    fn fill_from(
+        &mut self,
+        pe: PeId,
+        base: Addr,
+        supplier: Option<Line>,
+        exclusive: bool,
+        install: bool,
+        area: StorageArea,
+    ) -> Result<Filled, PeId> {
+        if let Some(holder) = self.lock_refusal(pe, base, area) {
+            return Err(holder);
         }
-
         self.bus.record_cmd(if exclusive {
             BusCommand::FetchInvalidate
         } else {
             BusCommand::Fetch
         });
-        if with_lock {
-            self.bus.record_cmd(BusCommand::Lock);
-        }
 
-        let supplier = self.find_supplier(pe, base);
         let (state, source) = match supplier {
-            Some((sup, sup_state)) => {
-                let mut dirty = sup_state.is_dirty();
+            Some(sup) => {
+                self.fill_buf.copy_from_slice(self.bank.block(sup));
+                let mut dirty = self.bank.state(sup).is_dirty();
                 if exclusive {
-                    // FI: every other copy dies; dirty data migrates to the
-                    // requester without updating memory (unless reflected
-                    // below). Each copy is taken before its invalidation:
-                    // the supplier's, or else the first dirty one.
-                    let mut copied = false;
-                    for i in 0..self.pes.len() {
-                        if i == pe.index() {
-                            continue;
-                        }
-                        let cache = &self.pes[i].cache;
-                        if let Some(words) = cache.block(base) {
-                            if i == sup.index() || (cache.state_of(base).is_dirty() && !copied) {
-                                self.fill_buf.copy_from_slice(words);
-                                copied = true;
-                            }
-                        }
-                        self.cache_invalidate(PeId(i as u32), base);
+                    // FI: every other copy dies, in PE order; dirty data
+                    // migrates to the requester without updating memory
+                    // (unless reflected below).
+                    for k in 0..self.holders.len() {
+                        self.set_line_state(self.holders[k], base, BlockState::Inv);
                     }
-                    if !copied {
-                        unreachable!("supplier had the block");
-                    }
-                } else {
-                    // F: the supplier keeps the data.
-                    let Some(words) = self.pes[sup.index()].cache.block(base) else {
-                        unreachable!("supplier had the block")
-                    };
-                    self.fill_buf.copy_from_slice(words);
                 }
                 if dirty && !P::DIRTY_SUPPLY_MIGRATES {
                     // Illinois: the memory controller captures the data as
@@ -709,14 +669,14 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
                     } else {
                         BlockState::Shared
                     };
-                    self.cache_set_state(sup, base, new_state);
+                    self.set_line_state(sup, base, new_state);
                 }
                 let state = match (exclusive, dirty) {
                     (true, true) => BlockState::Em,
                     (true, false) => BlockState::Ec,
                     (false, _) => BlockState::Shared,
                 };
-                (state, FillSource::Cache(sup, dirty))
+                (state, FillSource::Cache(sup.pe(), dirty))
             }
             None => {
                 self.memory.read_block(base, &mut self.fill_buf);
@@ -725,8 +685,11 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
         };
 
         let mut swap_out = false;
+        let mut line = None;
         if install {
-            if let Some(ev) = self.cache_install(pe, base, state) {
+            let (installed, evicted) = self.install(pe, base, state);
+            line = Some(installed);
+            if let Some(ev) = evicted {
                 if ev.state.is_dirty() {
                     self.memory.write_block(ev.base, &self.evict_buf);
                     swap_out = true;
@@ -738,25 +701,13 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
             FillSource::Cache(..) => Transaction::CacheToCache { swap_out },
             FillSource::Memory => Transaction::MemoryFetch { swap_out },
         };
-        self.bus.record_tx(tx, area, &self.config.timing, bw);
-        let cycles = self.config.timing.cycles(tx, bw);
-
-        FillOutcome::Filled(Filled { cycles, source })
-    }
-
-    /// Like [`CoherentSystem::refuse`] but usable from `fill` (returns just the
-    /// holder id for plumbing through [`FillOutcome`]).
-    fn refuse_holder(
-        &mut self,
-        requester: PeId,
-        holder: PeId,
-        locked_word: Addr,
-        area: StorageArea,
-    ) -> PeId {
-        match self.refuse(requester, holder, locked_word, area) {
-            Outcome::LockBusy { holder } => holder,
-            _ => unreachable!(),
-        }
+        let bw = self.config.geometry.block_words;
+        let cycles = self.bus.record_tx(tx, area, &self.config.timing, bw);
+        Ok(Filled {
+            cycles,
+            source,
+            line,
+        })
     }
 
     /// Invalidates every other copy of `addr`'s block via an `I` broadcast
@@ -765,152 +716,129 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
     /// *dirty* remote copy was dropped — in that case the upgrader's copy
     /// (bit-identical, by the coherence invariant) inherits the write-back
     /// obligation and must end in `EM`, never `EC`.
-    fn upgrade(
-        &mut self,
-        pe: PeId,
-        addr: Addr,
-        with_lock: bool,
-        area: StorageArea,
-    ) -> Result<(u64, bool), PeId> {
+    fn upgrade(&mut self, pe: PeId, addr: Addr, area: StorageArea) -> Result<(u64, bool), PeId> {
         let geom = self.config.geometry;
         let base = geom.block_base(addr);
-        if let Some((holder, word)) = self.lock_conflict(pe, base) {
-            return Err(self.refuse_holder(pe, holder, word, area));
+        if let Some(holder) = self.lock_refusal(pe, base, area) {
+            return Err(holder);
         }
         self.bus.record_cmd(BusCommand::Invalidate);
-        if with_lock {
-            self.bus.record_cmd(BusCommand::Lock);
-        }
+        self.snoop(pe, base);
         let mut dropped_dirty = false;
-        for i in 0..self.pes.len() {
-            if i != pe.index() {
-                if let Some(state) = self.cache_invalidate(PeId(i as u32), base) {
-                    dropped_dirty |= state.is_dirty();
-                }
-            }
+        for k in 0..self.holders.len() {
+            let state = self.set_line_state(self.holders[k], base, BlockState::Inv);
+            dropped_dirty |= state.is_dirty();
         }
-        self.bus.record_tx(
+        let cycles = self.bus.record_tx(
             Transaction::Invalidate,
             area,
             &self.config.timing,
             geom.block_words,
         );
-        Ok((
-            self.config
-                .timing
-                .cycles(Transaction::Invalidate, geom.block_words),
-            dropped_dirty,
-        ))
+        Ok((cycles, dropped_dirty))
     }
 
     // ------------------------------------------------------------------
     // Memory operations (Section 3.2)
     // ------------------------------------------------------------------
 
-    fn read(&mut self, pe: PeId, addr: Addr, area: StorageArea) -> Outcome {
+    fn read(&mut self, pe: PeId, local: Option<Line>, addr: Addr, area: StorageArea) -> Outcome {
         self.access_stats.lookups += 1;
-        if let Some(value) = self.pes[pe.index()].cache.read(addr) {
+        if let Some(line) = local {
             self.access_stats.hits += 1;
-            return done(value, 0, true);
+            return done(self.bank.read(line, addr), 0, true);
         }
-        match self.fill(pe, addr, false, true, false, area) {
-            FillOutcome::Refused { holder } => Outcome::LockBusy { holder },
-            FillOutcome::Filled(f) => {
-                let value = self.read_resident(pe, addr);
-                done(value, f.cycles, false)
-            }
+        let filled = self.fill(pe, addr, false, true, area);
+        self.read_filled(addr, filled)
+    }
+
+    /// Completes a read miss: reads `addr` from the line the fill
+    /// installed.
+    fn read_filled(&mut self, addr: Addr, filled: Result<Filled, PeId>) -> Outcome {
+        match filled {
+            Err(holder) => Outcome::LockBusy { holder },
+            Ok(f) => done(self.bank.read(f.line(), addr), f.cycles, false),
         }
     }
 
-    fn write(&mut self, pe: PeId, addr: Addr, value: Word, area: StorageArea) -> Outcome {
-        self.access_stats.lookups += 1;
-        match self.pes[pe.index()].cache.state_of(addr) {
-            BlockState::Em | BlockState::Ec => {
-                self.access_stats.hits += 1;
-                self.cache_write(pe, addr, value, BlockState::Em);
-                done(value, 0, true)
-            }
-            BlockState::Sm | BlockState::Shared => {
-                self.access_stats.hits += 1;
-                match self.upgrade(pe, addr, false, area) {
-                    Err(holder) => Outcome::LockBusy { holder },
-                    Ok((cycles, _)) => {
-                        self.cache_write(pe, addr, value, BlockState::Em);
-                        done(value, cycles, true)
-                    }
-                }
-            }
-            BlockState::Inv => match self.fill(pe, addr, true, true, false, area) {
-                FillOutcome::Refused { holder } => Outcome::LockBusy { holder },
-                FillOutcome::Filled(f) => {
-                    self.cache_write(pe, addr, value, BlockState::Em);
-                    done(value, f.cycles, false)
-                }
-            },
-        }
-    }
-
-    /// `DW` (Section 3.2 (1)): on a block-boundary miss with no remote
-    /// copies, allocate without fetching; otherwise behave as `W`.
-    /// Optimizes *upward*-growing allocation (heap, records).
-    fn direct_write(&mut self, pe: PeId, addr: Addr, value: Word, area: StorageArea) -> Outcome {
-        let geom = self.config.geometry;
-        if !geom.is_block_boundary(addr) || self.pes[pe.index()].cache.contains(addr) {
-            // Case (ii): not a boundary (or already resident): plain write.
-            return self.write(pe, addr, value, area);
-        }
-        self.direct_allocate(pe, addr, value, area)
-    }
-
-    /// `DWD`: the downward-growing mirror of `DW` — the paper notes that
-    /// depending on the block-boundary definition `DW` serves one stack
-    /// direction only, and "to optimize both, two commands are necessary".
-    /// A downward stack touches the *last* word of each new block first.
-    fn direct_write_down(
+    fn write(
         &mut self,
         pe: PeId,
+        local: Option<Line>,
         addr: Addr,
         value: Word,
         area: StorageArea,
     ) -> Outcome {
-        let geom = self.config.geometry;
-        if !geom.is_last_word(addr) || self.pes[pe.index()].cache.contains(addr) {
-            return self.write(pe, addr, value, area);
-        }
-        self.direct_allocate(pe, addr, value, area)
+        self.access_stats.lookups += 1;
+        let (line, cycles, hit) = match local {
+            Some(line) => {
+                self.access_stats.hits += 1;
+                let cycles = if self.bank.state(line).is_exclusive() {
+                    0
+                } else {
+                    match self.upgrade(pe, addr, area) {
+                        Err(holder) => return Outcome::LockBusy { holder },
+                        Ok((cycles, _)) => cycles,
+                    }
+                };
+                (line, cycles, true)
+            }
+            None => match self.fill(pe, addr, true, true, area) {
+                Err(holder) => return Outcome::LockBusy { holder },
+                Ok(f) => (f.line(), f.cycles, false),
+            },
+        };
+        self.write_line(line, addr, value, BlockState::Em);
+        done(value, cycles, hit)
     }
 
-    /// The shared allocate-without-fetch path of `DW`/`DWD`.
-    fn direct_allocate(&mut self, pe: PeId, addr: Addr, value: Word, area: StorageArea) -> Outcome {
+    /// `DW` and `DWD` (Section 3.2 (1)): on a miss on the block's `first`
+    /// word with no remote copies, allocate without fetching; otherwise
+    /// behave as `W`. For `DW` the first word is the block boundary,
+    /// which optimizes *upward*-growing allocation (heap, records). `DWD`
+    /// is its downward-growing mirror — the paper notes that depending on
+    /// the block-boundary definition `DW` serves one stack direction only,
+    /// and "to optimize both, two commands are necessary": a downward
+    /// stack touches the *last* word of each new block first.
+    fn direct_write(
+        &mut self,
+        pe: PeId,
+        local: Option<Line>,
+        addr: Addr,
+        value: Word,
+        first: bool,
+        area: StorageArea,
+    ) -> Outcome {
+        if !first || local.is_some() {
+            // Case (ii): not the first word (or already resident): plain
+            // write.
+            return self.write(pe, local, addr, value, area);
+        }
         let geom = self.config.geometry;
-        if self.held_remotely(pe, addr) {
+        let base = geom.block_base(addr);
+        if self.snoop(pe, base).is_some() {
             // The software contract ("remote caches do not have a
             // corresponding cache block") is violated; fall back to W and
             // count it so workloads can be audited.
             self.access_stats.dw_contract_violations += 1;
-            return self.write(pe, addr, value, area);
+            return self.write(pe, local, addr, value, area);
         }
 
         self.access_stats.lookups += 1;
         self.access_stats.dw_allocations += 1;
-        let base = geom.block_base(addr);
         self.fill_buf.fill(DW_POISON);
         self.fill_buf[(addr - base) as usize] = value;
         let mut cycles = 0;
-        if let Some(ev) = self.cache_install(pe, base, BlockState::Em) {
+        if let (_, Some(ev)) = self.install(pe, base, BlockState::Em) {
             if ev.state.is_dirty() {
                 // The only swap-out-only bus pattern in the protocol.
                 self.memory.write_block(ev.base, &self.evict_buf);
-                self.bus.record_tx(
+                cycles = self.bus.record_tx(
                     Transaction::SwapOutOnly,
                     area,
                     &self.config.timing,
                     geom.block_words,
                 );
-                cycles = self
-                    .config
-                    .timing
-                    .cycles(Transaction::SwapOutOnly, geom.block_words);
             }
         }
         done(value, cycles, false)
@@ -919,50 +847,60 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
     /// `ER` (Section 3.2 (2)): read-invalidate on a remote miss that is
     /// not the last word; read-purge on a hit to the last word; plain read
     /// otherwise.
-    fn exclusive_read(&mut self, pe: PeId, addr: Addr, area: StorageArea) -> Outcome {
+    fn exclusive_read(
+        &mut self,
+        pe: PeId,
+        local: Option<Line>,
+        addr: Addr,
+        area: StorageArea,
+    ) -> Outcome {
         let geom = self.config.geometry;
-        let resident = self.pes[pe.index()].cache.contains(addr);
-        if resident {
-            if geom.is_last_word(addr) {
+        let last = geom.is_last_word(addr);
+        match local {
+            Some(line) if last => {
                 // Case (ii): read, then forcibly purge the local block —
                 // dead data is discarded without a swap-out.
                 self.access_stats.lookups += 1;
                 self.access_stats.hits += 1;
-                let value = self.read_resident(pe, addr);
-                self.purge_local(pe, addr);
-                return done(value, 0, true);
+                let value = self.bank.read(line, addr);
+                self.purge(line, addr);
+                done(value, 0, true)
             }
-            return self.read(pe, addr, area);
+            Some(_) => self.read(pe, local, addr, area),
+            None => {
+                // Case (i), a remote copy to take and not the last word:
+                // fetch with invalidation of the supplier (RI). Otherwise
+                // case (iii): automatic downgrade to R.
+                self.access_stats.lookups += 1;
+                let base = geom.block_base(addr);
+                let supplier = self.snoop(pe, base);
+                let exclusive = supplier.is_some() && !last;
+                let filled = self.fill_from(pe, base, supplier, exclusive, true, area);
+                self.read_filled(addr, filled)
+            }
         }
-        if self.find_supplier(pe, addr).is_some() && !geom.is_last_word(addr) {
-            // Case (i): fetch with invalidation of the supplier (RI).
-            self.access_stats.lookups += 1;
-            return match self.fill(pe, addr, true, true, false, area) {
-                FillOutcome::Refused { holder } => Outcome::LockBusy { holder },
-                FillOutcome::Filled(f) => {
-                    let value = self.read_resident(pe, addr);
-                    done(value, f.cycles, false)
-                }
-            };
-        }
-        // Case (iii): automatic downgrade to R.
-        self.read(pe, addr, area)
     }
 
     /// `RP` (Section 3.2 (3)): read and forcibly purge; on a miss the
     /// supplier is invalidated and the transferred block bypasses the
     /// local cache entirely (it would be purged immediately anyway).
-    fn read_purge(&mut self, pe: PeId, addr: Addr, area: StorageArea) -> Outcome {
+    fn read_purge(
+        &mut self,
+        pe: PeId,
+        local: Option<Line>,
+        addr: Addr,
+        area: StorageArea,
+    ) -> Outcome {
         self.access_stats.lookups += 1;
-        if self.pes[pe.index()].cache.contains(addr) {
+        if let Some(line) = local {
             self.access_stats.hits += 1;
-            let value = self.read_resident(pe, addr);
-            self.purge_local(pe, addr);
+            let value = self.bank.read(line, addr);
+            self.purge(line, addr);
             return done(value, 0, true);
         }
-        match self.fill(pe, addr, true, false, false, area) {
-            FillOutcome::Refused { holder } => Outcome::LockBusy { holder },
-            FillOutcome::Filled(f) => {
+        match self.fill(pe, addr, true, false, area) {
+            Err(holder) => Outcome::LockBusy { holder },
+            Ok(f) => {
                 let offset = (addr % self.config.geometry.block_words) as usize;
                 self.access_stats.purges += 1;
                 if matches!(f.source, FillSource::Cache(_, true)) {
@@ -975,26 +913,28 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
 
     /// `RI` (Section 3.2 (4)): read with intent to rewrite — a miss
     /// fetches exclusively (`FI`) so the later write needs no `I`.
-    fn read_invalidate(&mut self, pe: PeId, addr: Addr, area: StorageArea) -> Outcome {
-        if self.pes[pe.index()].cache.contains(addr) {
-            return self.read(pe, addr, area);
+    fn read_invalidate(
+        &mut self,
+        pe: PeId,
+        local: Option<Line>,
+        addr: Addr,
+        area: StorageArea,
+    ) -> Outcome {
+        if local.is_some() {
+            return self.read(pe, local, addr, area);
         }
         self.access_stats.lookups += 1;
-        match self.fill(pe, addr, true, true, false, area) {
-            FillOutcome::Refused { holder } => Outcome::LockBusy { holder },
-            FillOutcome::Filled(f) => {
-                let value = self.read_resident(pe, addr);
-                done(value, f.cycles, false)
-            }
-        }
+        let filled = self.fill(pe, addr, true, true, area);
+        self.read_filled(addr, filled)
     }
 
-    fn purge_local(&mut self, pe: PeId, addr: Addr) {
-        if let Some(state) = self.cache_invalidate(pe, addr) {
-            self.access_stats.purges += 1;
-            if state.is_dirty() {
-                self.access_stats.dirty_purges += 1;
-            }
+    /// Invalidates the requester's own `line` (holding `addr`) without a
+    /// swap-out.
+    fn purge(&mut self, line: Line, addr: Addr) {
+        let state = self.set_line_state(line, addr, BlockState::Inv);
+        self.access_stats.purges += 1;
+        if state.is_dirty() {
+            self.access_stats.dirty_purges += 1;
         }
     }
 
@@ -1010,27 +950,26 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
     fn lock_read(
         &mut self,
         pe: PeId,
+        local: Option<Line>,
         addr: Addr,
         area: StorageArea,
     ) -> Result<Outcome, ProtocolError> {
-        if self.pes[pe.index()].lockdir.holds(addr) {
+        if self.lockdirs[pe.index()].holds(addr) {
             return Err(ProtocolError::AlreadyLocked { addr });
         }
         let base = self.config.geometry.block_base(addr);
-        if let Some((holder, word)) = self.lock_conflict(pe, base) {
-            return Ok(self.refuse(pe, holder, word, area));
+        if let Some(holder) = self.lock_refusal(pe, base, area) {
+            return Ok(Outcome::LockBusy { holder });
         }
 
         self.access_stats.lookups += 1;
-        let state = self.pes[pe.index()].cache.state_of(addr);
-        // `LK` rides on the `I`/`FI` only with the hardware lock directory.
-        let with_lock = P::LOCK_DIRECTORY;
-        let mut cycles = match state {
+        let state = local.map_or(BlockState::Inv, |line| self.bank.state(line));
+        let (line, mut cycles) = match local {
             // The bus-free case the hardware lock exists for: no other
             // cache can hold the block, so registering locally is safe.
-            BlockState::Em | BlockState::Ec => 0,
-            BlockState::Sm | BlockState::Shared => {
-                let (cycles, dropped_dirty) = match self.upgrade(pe, addr, with_lock, area) {
+            Some(line) if state.is_exclusive() => (line, 0),
+            Some(line) => {
+                let (cycles, dropped_dirty) = match self.upgrade(pe, addr, area) {
                     Err(holder) => return Ok(Outcome::LockBusy { holder }),
                     Ok(c) => c,
                 };
@@ -1041,12 +980,12 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
                 } else {
                     BlockState::Ec
                 };
-                self.cache_set_state(pe, addr, upgraded);
-                cycles
+                self.set_line_state(line, addr, upgraded);
+                (line, cycles)
             }
-            BlockState::Inv => match self.fill(pe, addr, true, true, with_lock, area) {
-                FillOutcome::Refused { holder } => return Ok(Outcome::LockBusy { holder }),
-                FillOutcome::Filled(f) => f.cycles,
+            None => match self.fill(pe, addr, true, true, area) {
+                Err(holder) => return Ok(Outcome::LockBusy { holder }),
+                Ok(f) => (f.line(), f.cycles),
             },
         };
         if !P::LOCK_DIRECTORY {
@@ -1054,11 +993,15 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
             // hardware lock directory.
             self.bus.record_cmd(BusCommand::Lock);
             let bw = self.config.geometry.block_words;
-            self.bus
+            cycles += self
+                .bus
                 .record_tx(Transaction::Invalidate, area, &self.config.timing, bw);
-            cycles += self.config.timing.cycles(Transaction::Invalidate, bw);
+        } else if !state.is_exclusive() {
+            // `LK` rode on the `I`/`FI` that acquired exclusivity.
+            self.bus.record_cmd(BusCommand::Lock);
         }
-        self.pes[pe.index()].lockdir.lock(addr)?;
+        self.lockdirs[pe.index()].lock(addr)?;
+        self.locks_held += 1;
         self.lock_stats.lr_total += 1;
         let hit = state.is_valid();
         if P::LOCK_DIRECTORY {
@@ -1071,7 +1014,7 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
             self.lock_stats.lr_hits += 1;
             self.access_stats.hits += 1;
         }
-        let value = self.read_resident(pe, addr);
+        let value = self.bank.read(line, addr);
         Ok(done(value, cycles, hit))
     }
 
@@ -1081,14 +1024,15 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
     fn write_unlock(
         &mut self,
         pe: PeId,
+        local: Option<Line>,
         addr: Addr,
         value: Word,
         area: StorageArea,
     ) -> Result<Outcome, ProtocolError> {
-        if !self.pes[pe.index()].lockdir.holds(addr) {
+        if !self.lockdirs[pe.index()].holds(addr) {
             return Err(ProtocolError::NotLocked { addr });
         }
-        let write_outcome = self.write(pe, addr, value, area);
+        let write_outcome = self.write(pe, local, addr, value, area);
         let (mut cycles, hit) = match write_outcome {
             Outcome::Done {
                 bus_cycles, hit, ..
@@ -1114,7 +1058,7 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
         addr: Addr,
         area: StorageArea,
     ) -> Result<Outcome, ProtocolError> {
-        if !self.pes[pe.index()].lockdir.holds(addr) {
+        if !self.lockdirs[pe.index()].holds(addr) {
             return Err(ProtocolError::NotLocked { addr });
         }
         let (cycles, woken) = self.release(pe, addr, area)?;
@@ -1128,7 +1072,7 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
 
     /// Records the lock-directory occupancy high-water mark.
     fn note_lock_depth(&mut self, pe: PeId) {
-        let depth = self.pes[pe.index()].lockdir.len() as u64;
+        let depth = self.lockdirs[pe.index()].len() as u64;
         if depth > self.lock_stats.max_simultaneous_locks {
             self.lock_stats.max_simultaneous_locks = depth;
         }
@@ -1142,23 +1086,20 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
         addr: Addr,
         area: StorageArea,
     ) -> Result<(u64, Vec<PeId>), ProtocolError> {
-        let woken = self.pes[pe.index()].lockdir.unlock(addr)?;
+        let woken = self.lockdirs[pe.index()].unlock(addr)?;
+        self.locks_held -= 1;
         self.lock_stats.unlock_total += 1;
         if P::LOCK_DIRECTORY && woken.is_empty() {
             self.lock_stats.unlock_no_waiter += 1;
             return Ok((0, woken));
         }
         self.bus.record_cmd(BusCommand::Unlock);
-        self.bus.record_tx(
+        let cycles = self.bus.record_tx(
             Transaction::Unlock,
             area,
             &self.config.timing,
             self.config.geometry.block_words,
         );
-        let cycles = self
-            .config
-            .timing
-            .cycles(Transaction::Unlock, self.config.geometry.block_words);
         Ok((cycles, woken))
     }
 
@@ -1174,21 +1115,22 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
     ///    most one `SM` owner;
     /// 4. all valid copies of a block are bit-identical.
     ///
+    /// All copies of a block sit in one row of the bank, so the check
+    /// walks the rows in set order and checks each block's copies in PE
+    /// order, in place: which violation it reports first is fixed.
+    ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_coherence_invariants(&self) -> Result<(), String> {
-        use std::collections::HashMap;
-        let mut holders: HashMap<Addr, Vec<(PeId, BlockState)>> = HashMap::new();
-        for (i, p) in self.pes.iter().enumerate() {
-            for (base, state) in p.cache.valid_blocks() {
-                holders
-                    .entry(base)
-                    .or_default()
-                    .push((PeId(i as u32), state));
-            }
-        }
-        for (base, list) in holders {
+        let mut list: Vec<(PeId, BlockState)> = Vec::with_capacity(self.lockdirs.len());
+        for base in self.bank.blocks() {
+            list.clear();
+            list.extend(
+                self.bank
+                    .copies(base)
+                    .map(|line| (line.pe(), self.bank.state(line))),
+            );
             let exclusive = list.iter().filter(|(_, s)| s.is_exclusive()).count();
             let dirty = list.iter().filter(|(_, s)| s.is_dirty()).count();
             if exclusive > 0 && list.len() > 1 {
@@ -1208,11 +1150,10 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
                     }
                 }
             }
-            let first = self.pes[list[0].0.index()].cache.block(base);
-            for (pe, _) in &list[1..] {
-                if self.pes[pe.index()].cache.block(base) != first {
-                    return Err(format!("block {base:#x}: copies diverge"));
-                }
+            let mut copies = self.bank.copies(base).map(|line| self.bank.block(line));
+            let first = copies.next();
+            if copies.any(|words| Some(words) != first) {
+                return Err(format!("block {base:#x}: copies diverge"));
             }
         }
         Ok(())
@@ -1220,12 +1161,14 @@ impl<P: CoherenceProtocol> CoherentSystem<P> {
 
     /// The cache state of `addr` in `pe`'s cache (testing hook).
     pub fn cache_state(&self, pe: PeId, addr: Addr) -> BlockState {
-        self.pes[pe.index()].cache.state_of(addr)
+        self.bank
+            .find(pe, addr)
+            .map_or(BlockState::Inv, |line| self.bank.state(line))
     }
 
     /// Whether `pe` currently holds a lock on `addr` (testing hook).
     pub fn holds_lock(&self, pe: PeId, addr: Addr) -> bool {
-        self.pes[pe.index()].lockdir.holds(addr)
+        self.lockdirs[pe.index()].holds(addr)
     }
 }
 
@@ -1242,4 +1185,34 @@ fn done(value: Word, bus_cycles: u64, hit: bool) -> Outcome {
 #[inline]
 fn expect_data(op: MemOp, data: Option<Word>) -> Word {
     data.unwrap_or_else(|| panic!("{op} requires a data word"))
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{BlockState, CacheGeometry, PimSystem, SystemConfig};
+    use pim_trace::{PeId, StorageArea};
+
+    #[test]
+    fn the_lowest_sets_violation_is_reported_first() {
+        // 8 sets × 2 ways × 4-word blocks: block `b` sits in set `b % 8`.
+        let mut sys = PimSystem::new(SystemConfig {
+            pes: 2,
+            geometry: CacheGeometry::with_shape(64, 4, 2),
+            ..SystemConfig::default()
+        });
+        let heap = sys.area_map().base(StorageArea::Heap);
+        let (set3, set1) = (heap + 3 * 4, heap + 4);
+        // The higher set's block goes in first, so install order cannot
+        // decide which violation is found.
+        for (base, state) in [(set3, BlockState::Em), (set1, BlockState::Sm)] {
+            for pe in [PeId(1), PeId(0)] {
+                sys.bank.install(pe, base, &[7; 4], state, &mut [0; 4]);
+            }
+        }
+        let err = sys.check_coherence_invariants().expect_err("incoherent");
+        assert_eq!(
+            err,
+            format!("block {set1:#x}: 2 dirty copies: [(PeId(0), Sm), (PeId(1), Sm)]")
+        );
+    }
 }

@@ -3,7 +3,7 @@
 //!
 //! Section 3.1 of the paper defines the PIM cache by what it changes in
 //! the Illinois protocol (Papamarcos & Patel, ISCA 1984). Everything the
-//! two share — the cache arrays, the observer funnel, the lock-conflict
+//! two share — the cache bank, the observer funnel, the lock-conflict
 //! snoop and its `LH` refusal, the supplier search, the fill and upgrade
 //! transactions, statistics and checkpoints — is one engine,
 //! [`CoherentSystem`]. A protocol is a type answering three questions as

@@ -98,3 +98,49 @@ fn pim_misses_allocate_nothing() {
     sys.check_coherence_invariants().expect("coherent");
     assert_eq!(allocs, 0, "the miss path allocated");
 }
+
+#[test]
+fn fi_and_i_against_three_sharers_allocate_nothing() {
+    let mut sys = PimSystem::new(SystemConfig {
+        pes: 4,
+        geometry: CacheGeometry::with_shape(64, 4, 2),
+        ..SystemConfig::default()
+    });
+    let h = sys.area_map().base(StorageArea::Heap);
+    for w in 0..64 {
+        sys.poke(h + w, w);
+    }
+    let sharers = [PeId(1), PeId(2), PeId(3)];
+    // Three clean sharers of each block, before the measured span.
+    for pe in sharers {
+        for off in [0, 8] {
+            sys.access(pe, MemOp::Read, h + off, None).expect("read");
+        }
+    }
+    let before = sys.bus_stats().cmd_count(BusCommand::Invalidate);
+
+    let allocs = allocations_in(|| {
+        // FI: P0 misses on a block three other caches share.
+        sys.access(PeId(0), MemOp::Write, h + 1, Some(1))
+            .expect("write");
+        // I: P1 upgrades its shared copy of a block two others share too.
+        sys.access(PeId(1), MemOp::Read, h + 9, None).expect("read");
+        sys.access(PeId(0), MemOp::Read, h + 9, None).expect("read");
+        sys.access(PeId(1), MemOp::Write, h + 9, Some(9))
+            .expect("upgrade");
+    });
+
+    assert_eq!(sys.bus_stats().cmd_count(BusCommand::FetchInvalidate), 1);
+    assert_eq!(
+        sys.bus_stats().cmd_count(BusCommand::Invalidate),
+        before + 1
+    );
+    for pe in [PeId(0), PeId(2), PeId(3)] {
+        assert_eq!(sys.cache_state(pe, h + 9), pim_cache::BlockState::Inv);
+    }
+    for pe in sharers {
+        assert_eq!(sys.cache_state(pe, h), pim_cache::BlockState::Inv);
+    }
+    sys.check_coherence_invariants().expect("coherent");
+    assert_eq!(allocs, 0, "the three-sharer FI and I allocated");
+}
